@@ -68,7 +68,7 @@ def _plant_config(args) -> PlantConfig:
     if getattr(args, "plant_config", None):
         cfg = load_config(args.plant_config)
         if cfg.morphology is not Morphology.from_label(args.morphology):
-            raise SystemExit("plant config morphology does not match --morphology")
+            raise ValueError("plant config morphology does not match --morphology")
         return cfg
     return PlantConfig(morphology=Morphology.from_label(args.morphology))
 
@@ -153,6 +153,8 @@ def cmd_learn(args) -> int:
 
 def cmd_battery(args) -> int:
     out = _out_dir(args)
+    if args.repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {args.repeats}")
     plant = _plant_config(args)
     morphology = plant.morphology
     rows = []

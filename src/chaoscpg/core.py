@@ -1,16 +1,20 @@
-"""Two-neuron chaotic oscillator and lock-in control of its periodic orbits.
+"""Two-neuron chaotic oscillator and lock-in onto its periodic orbits.
 
 The oscillator is a discrete-time map on activity pairs (x1, x2) in (0,1):
 
     x_i(t+1) = sigmoid(theta_i + sum_j w_ij * x_j(t) + c_i(t))
 
-With the default weights the free map (c = 0) is chaotic; the controller
-steers it onto one of the unstable periodic orbits embedded in the
-attractor.  The controller watches the recurrence error between the current
-state and the state one target period ago, and once the trajectory shadows a
-periodic loop it refines that loop to the exact orbit (Newton on the
-period-return map) and latches onto it.  From then on the oscillator replays
-the orbit exactly and the control input is zero up to machine precision.
+With the default weights the free map (c = 0) is chaotic, and unstable
+periodic orbits are embedded in its attractor.  The period controller
+free-runs the map and watches the recurrence error between the current
+state and the state one target period ago.  Once the trajectory shadows a
+periodic loop (p consecutive steps with error below CAPTURE_TOL or, after
+FALLBACK_AT scan steps, from the best shadowing seed seen), the loop is
+refined to the exact orbit by Newton iteration on the period-return map.
+One input to the first neuron pulls the state onto that orbit; from then
+on the oscillator replays the orbit exactly, the recurrence error is
+identically zero and the reported input carries only the machine-epsilon
+residue of the replayed first neuron.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,10 +33,11 @@ GAIT_PERIODS = (1, 4, 5, 6, 8, 9)
 #: default initial activity used by runs that do not specify one
 DEFAULT_INIT = (0.1, 0.2)
 
+#: recurrence error below which a step extends a shadowing run
+CAPTURE_TOL = 0.15
 
-class NotReadyError(RuntimeError):
-    """Raised when a controller is asked for feedback before its delay
-    line holds one full period of history."""
+#: scan steps after which a lock is tried from the best shadowing seed seen
+FALLBACK_AT = 800
 
 
 def sigmoid(a: float) -> float:
@@ -98,76 +103,6 @@ def step(state: CpgState, params: CpgParams,
 def _free_step(params: CpgParams, x1: float, x2: float) -> tuple[float, float]:
     a1, a2 = _activations(params, x1, x2, 0.0, 0.0)
     return sigmoid(a1), sigmoid(a2)
-
-
-@dataclass
-class ChaosControl:
-    """Period target, adaptive gain and the delay line of recent states.
-
-    mu never decreases while the controller is enabled.  With enabled set
-    to False the computed control inputs are exactly (0, 0).
-    """
-
-    p: int
-    mu: float = 0.0
-    lam: float = 0.05
-    enabled: bool = True
-    history: deque = field(default_factory=deque)
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"period must be >= 1, got {self.p}")
-        self.history = deque(self.history, maxlen=self.p)
-
-    def observe(self, state: CpgState) -> None:
-        self.history.append((state.x1, state.x2))
-
-    def deltas(self, state_now: CpgState) -> tuple[float, float]:
-        """Recurrence error: state one period ago minus the current state."""
-        if len(self.history) < self.p:
-            raise NotReadyError(
-                f"need {self.p} steps of history, have {len(self.history)}")
-        old = self.history[0]
-        return old[0] - state_now.x1, old[1] - state_now.x2
-
-    def reset(self, p: Optional[int] = None) -> None:
-        """Clear gain and history, e.g. after a runtime period change."""
-        if p is not None:
-            if p < 1:
-                raise ValueError(f"period must be >= 1, got {p}")
-            self.p = p
-        self.mu = 0.0
-        self.history = deque(maxlen=self.p)
-
-
-def control_input(ctrl: ChaosControl, params: CpgParams,
-                  state_now: CpgState,
-                  state_p_ago: Optional[CpgState] = None) -> tuple[float, float]:
-    """Feedback c_i = mu * sum_j w_ij * delta_j from the recurrence error.
-
-    delta compares the state one period ago against the current one; the
-    feedback pulls the trajectory back toward where it was, which vanishes
-    exactly on a period-p orbit.  If state_p_ago is omitted it is taken
-    from the controller's delay line (NotReadyError when too short).
-    """
-    if not ctrl.enabled:
-        return 0.0, 0.0
-    if state_p_ago is None:
-        d1, d2 = ctrl.deltas(state_now)
-    else:
-        d1 = state_p_ago.x1 - state_now.x1
-        d2 = state_p_ago.x2 - state_now.x2
-    c1 = ctrl.mu * (params.w11 * d1 + params.w12 * d2)
-    c2 = ctrl.mu * (params.w21 * d1 + params.w22 * d2)
-    return c1, c2
-
-
-def update_mu(ctrl: ChaosControl, delta1: float, delta2: float) -> ChaosControl:
-    """Grow the gain by lam * (delta1^2 + delta2^2) / p.  Never decreases."""
-    if not (math.isfinite(delta1) and math.isfinite(delta2)):
-        raise ValueError("non-finite recurrence error")
-    ctrl.mu = ctrl.mu + ctrl.lam * (delta1 * delta1 + delta2 * delta2) / ctrl.p
-    return ctrl
 
 
 # ---------------------------------------------------------------------------
@@ -251,68 +186,45 @@ class CpgOscillator:
     """One oscillator with its period controller.
 
     Free-runs the chaotic map while scanning for a shadowing event, i.e. a
-    stretch of p steps whose recurrence error stays below capture_tol.  The
+    stretch of p steps whose recurrence error stays below CAPTURE_TOL.  The
     shadowed loop is polished to the exact periodic orbit and the stepper
     latches onto it; afterwards the orbit replays exactly, the recurrence
     error is identically zero and the reported control inputs reflect the
-    (machine-epsilon) residue of the replayed first neuron.
+    (machine-epsilon) residue of the replayed first neuron.  With enabled
+    False the oscillator never locks and runs the free map.
     """
 
     def __init__(self, params: CpgParams, p: int,
-                 init: tuple[float, float] = DEFAULT_INIT,
-                 lam: float = 0.05, enabled: bool = True,
-                 capture_tol: float = 0.15, fallback_at: int = 800):
-        if p < 1:
-            raise ValueError(f"period must be >= 1, got {p}")
+                 init: Sequence[float] = DEFAULT_INIT, enabled: bool = True):
+        if len(init) != 2:
+            raise ValueError(f"init needs two activities, got {len(init)}")
         if not (0.0 < init[0] < 1.0 and 0.0 < init[1] < 1.0):
             raise ValueError("initial activities must lie in (0,1)")
         self.params = params
         self.state = CpgState(float(init[0]), float(init[1]), 0)
-        self.ctrl = ChaosControl(p=p, lam=lam, enabled=enabled)
-        self.capture_tol = capture_tol
-        self.fallback_at = fallback_at
+        self.enabled = enabled
+        self.last_c = (0.0, 0.0)
+        self.set_period(p)
+
+    def set_period(self, p: int) -> None:
+        """Change the target period; the delay line and the lock restart."""
+        if p < 1:
+            raise ValueError(f"period must be >= 1, got {p}")
+        self.p = p
+        # states of the last p unlocked steps; history[0] is one period ago
+        self.history: deque = deque(maxlen=p)
         self.locked = False
         self.lock_step: Optional[int] = None
         self._loop: Optional[list[tuple[float, float]]] = None
         self._loop_c1: Optional[list[float]] = None
         self._phase = 0
-        self._steps_since_enable = 0
+        self._scan_steps = 0
         self._run_len = 0
         self._best_err = math.inf
         self._best_seed: Optional[tuple[float, float]] = None
-        self.last_c = (0.0, 0.0)
-
-    @property
-    def p(self) -> int:
-        return self.ctrl.p
-
-    def set_period(self, p: int) -> None:
-        """Change the target period; gain, history and lock restart."""
-        self.ctrl.reset(p)
-        self._clear_lock()
-
-    def set_enabled(self, on: bool) -> None:
-        if on and not self.ctrl.enabled:
-            self.ctrl.reset()
-            self._clear_lock()
-        self.ctrl.enabled = on
-        if not on:
-            self._clear_lock()
-            self.ctrl.mu = 0.0
-
-    def _clear_lock(self) -> None:
-        self.locked = False
-        self.lock_step = None
-        self._loop = None
-        self._loop_c1 = None
-        self._phase = 0
-        self._steps_since_enable = 0
-        self._run_len = 0
-        self._best_err = math.inf
-        self._best_seed = None
 
     def _try_lock(self, seed: tuple[float, float]) -> bool:
-        orbit = find_orbit(self.params, self.ctrl.p, seed)
+        orbit = find_orbit(self.params, self.p, seed)
         if orbit is None:
             return False
         loop = _consistent_loop(self.params, orbit)
@@ -340,47 +252,44 @@ class CpgOscillator:
         self._phase = (k + 1) % len(self._loop)
         self.locked = True
         self.lock_step = self.state.t + 1
-        if self.ctrl.mu < 1.0:
-            self.ctrl.mu = 1.0  # locking gain; never decreased afterwards
         return CpgState(nxt[0], sigmoid(a2), self.state.t + 1)
 
     def advance(self) -> CpgState:
         """One time step; returns the new state."""
         if self.locked:
-            self._phase = (self._phase + 1) % self.ctrl.p
+            self._phase = (self._phase + 1) % self.p
             nxt = self._loop[self._phase]
-            self.last_c = (self._loop_c1[(self._phase - 1) % self.ctrl.p], 0.0)
+            self.last_c = (self._loop_c1[(self._phase - 1) % self.p], 0.0)
             self.state = CpgState(nxt[0], nxt[1], self.state.t + 1)
-            self.ctrl.observe(self.state)
             return self.state
 
         new_state = None
-        if self.ctrl.enabled and len(self.ctrl.history) >= self.ctrl.p:
-            d1, d2 = self.ctrl.deltas(self.state)
-            err = max(abs(d1), abs(d2))
-            self._run_len = self._run_len + 1 if err < self.capture_tol else 0
+        if self.enabled and len(self.history) >= self.p:
+            old1, old2 = self.history[0]
+            err = max(abs(old1 - self.state.x1), abs(old2 - self.state.x2))
+            self._run_len = self._run_len + 1 if err < CAPTURE_TOL else 0
             if err < self._best_err:
                 self._best_err = err
                 self._best_seed = (self.state.x1, self.state.x2)
-            trigger = (self._run_len >= self.ctrl.p
-                       or (self._steps_since_enable >= self.fallback_at
+            trigger = (self._run_len >= self.p
+                       or (self._scan_steps >= FALLBACK_AT
                            and self._best_seed is not None))
             if trigger:
                 seed = ((self.state.x1, self.state.x2)
-                        if self._run_len >= self.ctrl.p else self._best_seed)
+                        if self._run_len >= self.p else self._best_seed)
                 if self._try_lock(seed):
                     new_state = self._enter_lock()
                 else:
                     self._run_len = 0
-                    if self._steps_since_enable >= self.fallback_at:
+                    if self._scan_steps >= FALLBACK_AT:
                         self._best_err = math.inf  # rescan for a fresh seed
 
-        self.ctrl.observe(self.state)
+        self.history.append((self.state.x1, self.state.x2))
         if new_state is None:
             self.last_c = (0.0, 0.0)
             new_state = step(self.state, self.params, 0.0, 0.0)
         self.state = new_state
-        self._steps_since_enable += 1
+        self._scan_steps += 1
         return self.state
 
 
@@ -393,7 +302,6 @@ class Trajectory:
     x2: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-    mu: np.ndarray
     lock_step: Optional[int] = None
 
     def __len__(self) -> int:
@@ -411,42 +319,35 @@ class Trajectory:
             for line in header_lines:
                 f.write(f"# {line}\n")
             w = csv.writer(f)
-            w.writerow(["t", "x1", "x2", "c1", "c2", "mu"])
+            w.writerow(["t", "x1", "x2", "c1", "c2"])
             for i in range(len(self)):
                 w.writerow([int(self.t[i]), repr(float(self.x1[i])),
                             repr(float(self.x2[i])), repr(float(self.c1[i])),
-                            repr(float(self.c2[i])), repr(float(self.mu[i]))])
+                            repr(float(self.c2[i]))])
 
 
 def run_controlled(params: CpgParams, p: int, steps: int,
-                   init: tuple[float, float] = DEFAULT_INIT,
-                   lam: float = 0.05, enabled: bool = True,
-                   capture_tol: float = 0.15,
-                   fallback_at: int = 800) -> Trajectory:
+                   init: Sequence[float] = DEFAULT_INIT,
+                   enabled: bool = True) -> Trajectory:
     """Run the controlled oscillator and return the full trajectory.
 
     Gait use expects p in GAIT_PERIODS; any p >= 1 is allowed for analysis
     (periods without a prime orbit, such as 3, simply never lock).
     """
-    if p < 1:
-        raise ValueError(f"period must be >= 1, got {p}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    osc = CpgOscillator(params, p, init=init, lam=lam, enabled=enabled,
-                        capture_tol=capture_tol, fallback_at=fallback_at)
+    osc = CpgOscillator(params, p, init=init, enabled=enabled)
     n = steps + 1
     t = np.arange(n, dtype=np.int64)
     x1 = np.empty(n)
     x2 = np.empty(n)
     c1 = np.zeros(n)
     c2 = np.zeros(n)
-    mu = np.zeros(n)
     x1[0], x2[0] = osc.state.x1, osc.state.x2
     for k in range(1, n):
         osc.advance()
         x1[k], x2[k] = osc.state.x1, osc.state.x2
         c1[k], c2[k] = osc.last_c
-        mu[k] = osc.ctrl.mu
         if osc.locked:
             # the remaining steps replay the loop; fill them vectorized
             loop = np.array(osc._loop)
@@ -459,9 +360,8 @@ def run_controlled(params: CpgParams, p: int, steps: int,
                 x2[k + 1:] = loop[idx, 1]
                 c1[k + 1:] = c1s[idx - 1]
                 c2[k + 1:] = 0.0
-                mu[k + 1:] = osc.ctrl.mu
             break
-    return Trajectory(t, x1, x2, c1, c2, mu, lock_step=osc.lock_step)
+    return Trajectory(t, x1, x2, c1, c2, lock_step=osc.lock_step)
 
 
 def detect_period(trace: Sequence[float], tol: float = 1e-6) -> Optional[int]:

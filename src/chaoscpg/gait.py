@@ -162,22 +162,6 @@ def gait_trace(morphology: Morphology, p: int, steps: Optional[int] = None,
     return apply_delays({leg: cyc for leg in morphology.legs}, cfg, steps)
 
 
-def binarize(signal: Sequence[float], cycle_len: int) -> np.ndarray:
-    """Stance mask from a live oscillator trace: below the per-cycle median.
-
-    Only used when a diagram is driven from raw activity instead of the
-    parametric rhythms.
-    """
-    arr = np.asarray(signal, dtype=float)
-    if cycle_len < 1 or len(arr) < cycle_len:
-        raise ValueError("trace shorter than one cycle")
-    out = np.zeros(len(arr), dtype=bool)
-    for start in range(0, len(arr), cycle_len):
-        chunk = arr[start:start + cycle_len]
-        out[start:start + cycle_len] = chunk < np.median(chunk)
-    return out
-
-
 def render_gait(trace: GaitTrace, fmt: str = "ascii") -> str:
     """Deterministic diagram; stance is filled, swing is empty."""
     if trace.steps == 0:

@@ -51,10 +51,12 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.e_req <= 0:
-            raise ValueError("e_req must be positive")
+        if not self.beta >= 0:  # also rejects NaN
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.e_req) and self.e_req > 0):
+            raise ValueError(f"e_req must be finite and positive, got {self.e_req}")
+        if self.max_trials < 1:
+            raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
         if tuple(self.period_set) != PERIOD_CHOICES:
             raise ValueError(f"period set is fixed to {PERIOD_CHOICES}")
 

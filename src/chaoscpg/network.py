@@ -82,23 +82,16 @@ class ClientCpg:
 
 
 class CpgNetwork:
-    """Master plus clients; a single sequential state machine.
-
-    copy_previous_step selects whether a synchronized client copies the
-    master's output of the same step (default, exact synchrony) or of the
-    previous step (one-step lag, for sensitivity studies).
-    """
+    """Master plus clients; a single sequential state machine."""
 
     def __init__(self, morphology: Morphology = Morphology.HEXAPOD,
                  params: CpgParams = CpgParams(),
                  master_period: int = 4,
                  periods: Optional[Mapping[LegId, int]] = None,
                  seed: int = 0,
-                 copy_previous_step: bool = False,
                  master_init: tuple[float, float] = DEFAULT_INIT):
         self.morphology = morphology
         self.params = params
-        self.copy_previous_step = copy_previous_step
         _check_period(master_period)
         rng = np.random.default_rng(seed)
         self.master = CpgOscillator(params, master_period, init=master_init)
@@ -125,9 +118,7 @@ class CpgNetwork:
 
     def step(self) -> None:
         """Advance master first; clients read the master's fresh output."""
-        x1_prev = self.master.state.x1
-        self.master.advance()
-        x1_master = x1_prev if self.copy_previous_step else self.master.state.x1
+        x1_master = self.master.advance().x1
         for client in self.clients.values():
             osc = client.osc
             if client.alpha == 1:
@@ -193,21 +184,6 @@ class CpgNetwork:
                 if leg is not MASTER_LEG:
                     alpha[leg][k] = self.clients[leg].alpha
         return NetworkTrace(legs=legs, x1=x1, x2=x2, alpha=alpha)
-
-
-def network_step(net: CpgNetwork) -> CpgNetwork:
-    net.step()
-    return net
-
-
-def set_sync(net: CpgNetwork, leg: LegId, on: bool) -> CpgNetwork:
-    net.set_sync(leg, on)
-    return net
-
-
-def set_periods(net: CpgNetwork, assignment: Mapping[LegId, int]) -> CpgNetwork:
-    net.set_periods(assignment)
-    return net
 
 
 @dataclass

@@ -62,8 +62,14 @@ class PlantConfig:
     geometry: Optional[Dict[LegId, tuple]] = None
 
     def __post_init__(self):
+        for name in _SCALAR_FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.expansion < 1:
+            raise ValueError("expansion must be >= 1")
         if self.geometry is None:
             object.__setattr__(self, "geometry",
                                _default_geometry(self.morphology))
@@ -144,21 +150,24 @@ def simulate_window(cfg: PlantConfig, scenario: Scenario,
     """
     scenario.validate(cfg)
     w = cfg.window
-    left = np.zeros(w)
-    right = np.zeros(w)
-    for leg, p in scenario.periods.items():
-        lat, _ = cfg.geometry[leg]
-        force = abs(lat) * cfg.stance_force(p) * motor_rhythm(p, w, cfg.expansion)
-        if lat > 0:
-            right = right + force
+    # per-side sums, indexed by (lateral > 0): 0 is left, 1 is right.  Both
+    # sides add their legs front to hind, whatever the key order of the
+    # period map, so a mirrored scenario swaps the sums bit for bit.
+    thrust = [np.zeros(w), np.zeros(w)]
+    drag_lever = [0.0, 0.0]
+    for leg in cfg.morphology.legs:
+        lat = cfg.geometry[leg][0]
+        right = lat > 0
+        if leg in scenario.disabled:
+            drag_lever[right] += abs(lat)
         else:
-            left = left + force
+            p = scenario.periods[leg]
+            force = abs(lat) * cfg.stance_force(p) * motor_rhythm(p, w, cfg.expansion)
+            thrust[right] = thrust[right] + force
     cap = max(cfg.support_budget
               - cfg.load_per_disabled * len(scenario.disabled), 0.0)
-    yaw = np.minimum(left, cap) - np.minimum(right, cap)
-    drag_torque = cfg.drag * sum(
-        (1.0 if leg.side == "R" else -1.0) * abs(cfg.geometry[leg][0])
-        for leg in scenario.disabled)
+    yaw = np.minimum(thrust[0], cap) - np.minimum(thrust[1], cap)
+    drag_torque = cfg.drag * (drag_lever[1] - drag_lever[0])
     delta = cfg.turn_gain * (float(yaw.sum()) + drag_torque * w)
     if cfg.noise:
         delta += cfg.noise * float(np.random.default_rng(seed).standard_normal())

@@ -40,7 +40,7 @@ def test_run_cpg_outputs(tmp_path):
     assert "config_hash" in man
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
-    assert lines[2] == "t,x1,x2,c1,c2,mu"
+    assert lines[2] == "t,x1,x2,c1,c2"
 
 
 def test_run_cpg_stop_gait_tail_constant(tmp_path):
@@ -130,6 +130,32 @@ def test_bad_input_gives_error_record(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert json.loads(err.strip())["error"]
+
+
+@pytest.mark.parametrize("argv, plant_line, fragment", [
+    (["run-cpg", "--init", "0.5"], None, "two activities"),
+    (["battery", "--repeats", "0"], None, "repeats"),
+    (["learn", "--disable", "R1", "--max-trials", "0"], None, "max_trials"),
+    (["sweep-beta", "--disable", "R1,R2", "--betas", "nan", "--runs", "1"],
+     None, "beta"),
+    (["learn", "--disable", "R1", "--e-req", "nan"], None, "e_req"),
+    (["learn", "--disable", "R1"], "expansion = 0", "expansion"),
+    (["learn", "--disable", "R1"], "turn_gain = -1.8", "turn_gain"),
+    (["learn", "--disable", "R1"], "noise = -0.5", "noise"),
+    (["learn", "--disable", "R1"], "thrust_gain = nan", "thrust_gain"),
+    (["learn", "--disable", "R1"], "morphology = quadruped", "morphology"),
+], ids=["init-one-value", "repeats-0", "max-trials-0", "beta-nan",
+        "e-req-nan", "expansion-0", "negative-gain", "negative-noise",
+        "nan-gain", "morphology-mismatch"])
+def test_bad_input_is_rejected_with_error_record(tmp_path, capsys, argv,
+                                                 plant_line, fragment):
+    if plant_line is not None:
+        cfgfile = tmp_path / "plant.cfg"
+        cfgfile.write_text(plant_line + "\n")
+        argv = argv + ["--plant-config", str(cfgfile)]
+    code = main(["--out", str(tmp_path / "x"), *argv])
+    assert code == 2
+    assert fragment in json.loads(capsys.readouterr().err.strip())["error"]
 
 
 def test_plant_config_flag(tmp_path):

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from chaoscpg.core import (ChaosControl, CpgParams, CpgState, NotReadyError,
-                           control_input, detect_period, lyapunov_estimate,
-                           run_controlled, step, update_mu)
+from chaoscpg.core import (CpgParams, CpgState, detect_period,
+                           lyapunov_estimate, run_controlled, step)
 
 P = CpgParams()
 
@@ -50,60 +49,6 @@ def test_step_rejects_nonfinite():
         CpgParams(w11=float("nan"))
 
 
-def test_control_input_weighted_difference():
-    ctrl = ChaosControl(p=4, mu=1.0)
-    # recurrence error (0.1, 0.2) against the current state
-    c1, c2 = control_input(ctrl, P, CpgState(0.2, 0.1), CpgState(0.3, 0.3))
-    assert c1 == pytest.approx(-22.0 * 0.1 + 5.9 * 0.2)
-    assert c2 == pytest.approx(-6.6 * 0.1)
-    assert c1 == pytest.approx(-1.02) and c2 == pytest.approx(-0.66)
-
-
-def test_control_input_vanishes_on_periodic_state():
-    ctrl = ChaosControl(p=4, mu=3.7)
-    s = CpgState(0.42, 0.13)
-    assert control_input(ctrl, P, s, s) == (0.0, 0.0)
-
-
-def test_control_input_disabled_is_zero():
-    ctrl = ChaosControl(p=4, mu=5.0, enabled=False)
-    c = control_input(ctrl, P, CpgState(0.9, 0.9), CpgState(0.1, 0.1))
-    assert c == (0.0, 0.0)
-
-
-def test_control_input_requires_full_history():
-    ctrl = ChaosControl(p=3)
-    ctrl.observe(CpgState(0.5, 0.5))
-    with pytest.raises(NotReadyError):
-        control_input(ctrl, P, CpgState(0.4, 0.4))
-    for _ in range(5):
-        ctrl.observe(CpgState(0.5, 0.5))
-    assert len(ctrl.history) == 3  # delay line holds one period, no more
-    control_input(ctrl, P, CpgState(0.4, 0.4))  # now fine
-
-
-def test_update_mu_increment():
-    ctrl = ChaosControl(p=5, mu=0.0, lam=0.05)
-    update_mu(ctrl, 0.1, 0.2)
-    assert ctrl.mu == pytest.approx(0.0005)
-
-
-def test_update_mu_zero_delta_no_change():
-    ctrl = ChaosControl(p=5, mu=0.7)
-    update_mu(ctrl, 0.0, 0.0)
-    assert ctrl.mu == 0.7
-
-
-def test_update_mu_never_decreases():
-    rng = np.random.default_rng(0)
-    ctrl = ChaosControl(p=4)
-    prev = ctrl.mu
-    for _ in range(100):
-        update_mu(ctrl, rng.normal(), rng.normal())
-        assert ctrl.mu >= prev
-        prev = ctrl.mu
-
-
 @pytest.mark.parametrize("p", [4, 5, 6, 8, 9])
 def test_run_controlled_locks_gait_periods(p):
     traj = run_controlled(P, p, 2000, init=(0.37, 0.61))
@@ -133,12 +78,14 @@ def test_run_controlled_validates_arguments():
         run_controlled(P, 4, 0)
     with pytest.raises(ValueError):
         run_controlled(P, 4, 100, init=(0.0, 0.5))
+    with pytest.raises(ValueError):
+        run_controlled(P, 4, 100, init=(0.5,))
 
 
 def test_run_controlled_bit_identical_reruns():
     a = run_controlled(P, 5, 800, init=(0.3, 0.4))
     b = run_controlled(P, 5, 800, init=(0.3, 0.4))
-    for name in ("x1", "x2", "c1", "c2", "mu"):
+    for name in ("x1", "x2", "c1", "c2"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -158,16 +105,10 @@ def test_activity_stays_in_open_unit_interval():
         assert np.all(tr.x2 > 0) and np.all(tr.x2 < 1)
 
 
-def test_mu_monotone_during_run():
-    traj = run_controlled(P, 5, 1500, init=(0.2, 0.8))
-    assert np.all(np.diff(traj.mu) >= 0)
-
-
 def test_uncontrolled_run_has_zero_inputs_and_no_lock():
     traj = run_controlled(P, 4, 1500, enabled=False)
     assert traj.lock_step is None
     assert np.all(traj.c1 == 0) and np.all(traj.c2 == 0)
-    assert np.all(traj.mu == 0)
     assert detect_period(traj.x1) is None
 
 
@@ -177,7 +118,7 @@ def test_trajectory_csv_layout(tmp_path):
     traj.to_csv(path, header_lines=["seed=0"])
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=0"
-    assert lines[1] == "t,x1,x2,c1,c2,mu"
+    assert lines[1] == "t,x1,x2,c1,c2"
     assert len(lines) == 2 + 21
 
 

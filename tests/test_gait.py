@@ -5,7 +5,7 @@ import pytest
 
 from chaoscpg.gait import (CYCLE_EXPANSION, DelayConfig,
                            GaitClass, GaitTrace, UnsupportedPeriodError,
-                           apply_delays, binarize, classify_gait, gait_trace,
+                           apply_delays, classify_gait, gait_trace,
                            motor_rhythm, render_gait, rhythm_cycle)
 from chaoscpg.network import LegId, Morphology
 
@@ -144,24 +144,6 @@ def test_gait_csv(tmp_path):
     assert lines[0].startswith("leg,0,1")
     assert len(lines) == 5
     assert set(lines[1].split(",")[1:]) <= {"0", "1"}
-
-
-def test_binarize_per_cycle_median():
-    sig = np.tile([0.9, 0.1, 0.2, 0.8], 25)
-    mask = binarize(sig, 4)
-    assert mask[:4].tolist() == [False, True, True, False]
-    with pytest.raises(ValueError):
-        binarize([0.1], 4)
-
-
-def test_binarize_live_oscillator_trace():
-    # driving a diagram from raw activity instead of parametric rhythms
-    from chaoscpg.core import CpgParams, run_controlled
-    traj = run_controlled(CpgParams(), 5, 2000)
-    tail = traj.x2[-400:]
-    mask = binarize(tail, 5)
-    assert np.array_equal(mask[5:], mask[:-5])  # inherits the orbit period
-    assert 0 < mask.mean() < 1
 
 
 def test_gait_trace_rectangularity():

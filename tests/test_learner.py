@@ -153,6 +153,10 @@ def test_learner_config_validation():
         LearnerConfig(e_req=0.0)
     with pytest.raises(ValueError):
         LearnerConfig(period_set=(1, 4, 5, 6, 8))
+    for bad in (dict(beta=math.nan), dict(e_req=math.nan),
+                dict(e_req=math.inf), dict(max_trials=0)):
+        with pytest.raises(ValueError):
+            LearnerConfig(**bad)
 
 
 def test_sweep_beta_stats_and_labels():

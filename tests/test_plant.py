@@ -1,6 +1,7 @@
 """Surrogate plant: symmetry, calibration and config handling."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -165,6 +166,48 @@ def test_mirror_antisymmetry_property(seed):
     rng = np.random.default_rng(seed)
     s = random_scenario(rng)
     assert dev(CFG, mirror(s)) == -dev(CFG, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_symmetry_invariants_hold_for_any_key_order(data):
+    morphology = data.draw(st.sampled_from(list(Morphology)))
+    rights = [l for l in morphology.legs if l.side == "R"]
+    # uneven lateral levers, so the summation order shows in the low bits
+    geometry = {}
+    for leg in rights:
+        lever = data.draw(st.floats(0.25, 2.0))
+        geometry[leg] = (lever, 0.0)
+        geometry[leg.mirrored] = (-lever, 0.0)
+    cfg = PlantConfig(morphology=morphology, geometry=geometry)
+    periods = st.sampled_from([4, 5, 6, 8, 9])
+
+    def shuffled(disabled, period_map):
+        order = data.draw(st.permutations(sorted(period_map)))
+        return Scenario(disabled, {l: period_map[l] for l in order})
+
+    # each right leg shares its fate with its mirror
+    sym_disabled = data.draw(st.sets(st.sampled_from(rights)))
+    sym = {}
+    for leg in rights:
+        if leg not in sym_disabled:
+            sym[leg] = sym[leg.mirrored] = data.draw(periods)
+    sym_disabled |= {l.mirrored for l in sym_disabled}
+    assert dev(cfg, shuffled(sym_disabled, sym)) == 0.0
+
+    disabled = data.draw(st.sets(st.sampled_from(morphology.legs)))
+    s = shuffled(disabled, {l: data.draw(periods)
+                            for l in morphology.legs if l not in disabled})
+    m = mirror(s)
+    assert dev(cfg, shuffled(m.disabled, m.periods)) == -dev(cfg, s)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(thrust_gain=-1.0), dict(falloff=math.nan), dict(drag=-0.004),
+    dict(turn_gain=math.inf), dict(noise=-0.1), dict(expansion=0)])
+def test_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        PlantConfig(**bad)
 
 
 def test_eval_log(tmp_path):
