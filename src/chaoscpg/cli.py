@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .core import (CpgParams, detect_period, lyapunov_estimate,
                    run_controlled)
-from .gait import STEP_RATE_HZ, gait_trace, render_gait
+from .gait import MAX_TRACE_STEPS, STEP_RATE_HZ, gait_trace, render_gait
 from .learner import LearnerConfig, learn, plant_evaluator, sweep_beta, trace_to_csv, trace_to_json
 from .network import LegId, Morphology
 from .plant import PlantConfig, all_fours, load_config, write_eval_log
@@ -157,6 +157,8 @@ def cmd_battery(args) -> int:
         raise ValueError(f"repeats must be >= 1, got {args.repeats}")
     plant = _plant_config(args)
     morphology = plant.morphology
+    # one evaluator for every row: its keys carry the disabled set
+    evaluate = plant_evaluator(plant)
     rows = []
     any_failed = False
     for disabled in battery(morphology):
@@ -166,7 +168,7 @@ def cmd_battery(args) -> int:
             cfg = LearnerConfig(beta=args.beta, e_req=args.e_req,
                                 max_trials=args.max_trials,
                                 seed=args.seed + 7919 * r + 13 * len(rows))
-            traces.append(learn(plant_evaluator(plant), scenario, cfg))
+            traces.append(learn(evaluate, scenario, cfg))
         converged = [t for t in traces if t.converged]
         counts = [t.total_evaluations for t in traces]
         best = min((t for t in converged),
@@ -274,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gait", help="render a gait diagram")
     p.add_argument("--p", type=int, default=4)
     p.add_argument("--steps", type=int, default=0,
-                   help="diagram length (default: one full pattern)")
+                   help="diagram length, at most "
+                        f"{MAX_TRACE_STEPS} (default: one full pattern)")
     p.add_argument("--format", choices=["ascii", "svg", "csv"], default="ascii")
     common(p)
     p.set_defaults(func=cmd_gait)

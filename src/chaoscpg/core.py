@@ -40,6 +40,16 @@ CAPTURE_TOL = 0.15
 FALLBACK_AT = 800
 
 
+def _initial_state(init: Sequence[float]) -> tuple[float, float]:
+    """The two start activities as floats; each must lie in open (0,1)."""
+    if len(init) != 2:
+        raise ValueError(f"init needs two activities, got {len(init)}")
+    x1, x2 = float(init[0]), float(init[1])
+    if not (0.0 < x1 < 1.0 and 0.0 < x2 < 1.0):  # also rejects NaN
+        raise ValueError("initial activities must lie in (0,1)")
+    return x1, x2
+
+
 def sigmoid(a: float) -> float:
     """Numerically safe logistic function, exact for all finite inputs."""
     if a >= 0.0:
@@ -196,12 +206,8 @@ class CpgOscillator:
 
     def __init__(self, params: CpgParams, p: int,
                  init: Sequence[float] = DEFAULT_INIT, enabled: bool = True):
-        if len(init) != 2:
-            raise ValueError(f"init needs two activities, got {len(init)}")
-        if not (0.0 < init[0] < 1.0 and 0.0 < init[1] < 1.0):
-            raise ValueError("initial activities must lie in (0,1)")
         self.params = params
-        self.state = CpgState(float(init[0]), float(init[1]), 0)
+        self.state = CpgState(*_initial_state(init), 0)
         self.enabled = enabled
         self.last_c = (0.0, 0.0)
         self.set_period(p)
@@ -393,7 +399,7 @@ def lyapunov_estimate(params: CpgParams, steps: int = 100_000,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    x1, x2 = init
+    x1, x2 = _initial_state(init)
     for _ in range(burn_in):
         x1, x2 = _free_step(params, x1, x2)
     v1, v2 = 1.0, 0.0

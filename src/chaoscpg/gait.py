@@ -28,6 +28,9 @@ DUTY_FACTORS = {1: 1.0, 4: 1 / 2, 5: 3 / 5, 6: 2 / 3, 8: 3 / 4, 9: 5 / 6}
 #: cycle length is CYCLE_EXPANSION * p steps
 CYCLE_EXPANSION = 8
 
+#: longest gait trace built, in steps: about an hour at STEP_RATE_HZ
+MAX_TRACE_STEPS = 100_000
+
 
 class UnsupportedPeriodError(ValueError):
     pass
@@ -138,6 +141,7 @@ def apply_delays(rhythms: Mapping[LegId, np.ndarray],
     rhythms maps each leg to one full cycle of its wave; shifts are
     circular within that cycle.  The output length defaults to the least
     common multiple of the cycle lengths so every leg closes its pattern.
+    A length outside [0, MAX_TRACE_STEPS] is refused before any allocation.
     """
     legs = tuple(rhythms.keys())
     n_rows = max(leg.row for leg in legs) + 1
@@ -145,6 +149,9 @@ def apply_delays(rhythms: Mapping[LegId, np.ndarray],
         steps = 1
         for cyc in rhythms.values():
             steps = math.lcm(steps, len(cyc))
+    if not 0 <= steps <= MAX_TRACE_STEPS:
+        raise ValueError(
+            f"steps must lie in [0, {MAX_TRACE_STEPS}], got {steps}")
     out = np.zeros((len(legs), steps), dtype=bool)
     idx = np.arange(steps)
     for i, leg in enumerate(legs):

@@ -100,13 +100,18 @@ class LearningTrace:
         return dict(self.initial)
 
 
+#: leg names by leg; LegId.value is an enum property, slow on every draw
+_LEG_NAMES = {leg: leg.value for leg in LegId}
+
+
 def _key(periods: PeriodMap) -> PeriodKey:
-    return tuple(sorted((leg.value, p) for leg, p in periods.items()))
+    return tuple(sorted([(_LEG_NAMES[leg], p) for leg, p in periods.items()]))
 
 
 def _propose_with_count(current: PeriodMap, history: Set[PeriodKey],
                         functional: Sequence[LegId], rng: np.random.Generator,
-                        period_set: Sequence[int]) -> Tuple[PeriodMap, int]:
+                        period_set: Sequence[int]
+                        ) -> Tuple[PeriodMap, PeriodKey, int]:
     if not functional:
         raise ValueError("no functional legs to propose for")
     if len(history) >= len(period_set) ** len(functional):
@@ -117,8 +122,9 @@ def _propose_with_count(current: PeriodMap, history: Set[PeriodKey],
     while True:
         leg = functional[int(rng.integers(len(functional)))]
         candidate[leg] = int(period_set[int(rng.integers(len(period_set)))])
-        if _key(candidate) not in history:
-            return candidate, skipped
+        key = _key(candidate)
+        if key not in history:
+            return candidate, key, skipped
         skipped += 1
 
 
@@ -132,8 +138,8 @@ def propose(current: PeriodMap, history: Set[PeriodKey],
     proposal random-walks outward until it finds fresh ground.  Disabled
     legs are never touched.
     """
-    candidate, _ = _propose_with_count(current, history, functional, rng,
-                                       period_set)
+    candidate, _, _ = _propose_with_count(current, history, functional, rng,
+                                          period_set)
     return candidate
 
 
@@ -153,8 +159,23 @@ Evaluator = Callable[[Scenario, int], float]
 
 
 def plant_evaluator(cfg: PlantConfig) -> Evaluator:
+    """simulate_window's deviation, computed once per distinct input.
+
+    A window is a pure function of the disabled set and the period map,
+    and of the trial seed only when the plant is noisy, so the evaluator
+    remembers each deviation under that key.  The memo lives in the
+    closure: each evaluator, and so each command, pays for its own windows.
+    """
+    memo: Dict[tuple, float] = {}
+
     def evaluate(scenario: Scenario, seed: int) -> float:
-        return simulate_window(cfg, scenario, seed=seed).delta_phi
+        key = (scenario.disabled, _key(scenario.periods),
+               seed if cfg.noise else None)
+        dev = memo.get(key)
+        if dev is None:
+            dev = memo[key] = simulate_window(cfg, scenario,
+                                              seed=seed).delta_phi
+        return dev
     return evaluate
 
 
@@ -191,18 +212,19 @@ def learn(evaluate: Evaluator, scenario: Scenario,
     while trace.total_evaluations < cfg.max_trials:
         n += 1
         try:
-            candidate, skipped = _propose_with_count(
+            candidate, key, skipped = _propose_with_count(
                 current, history, functional, rng, cfg.period_set)
         except SearchSpaceExhausted:
             trace.exhausted = True
             break
-        history.add(_key(candidate))
+        history.add(key)
         # draws that bounced off walked combinations cost no evaluation
         trace.duplicate_skips += skipped
         dev = run_plant(candidate)
         trace.total_evaluations += 1
         delta_e = abs(dev) - cost_current
-        if accept(delta_e, cfg.beta, float(rng.uniform())):
+        # random() is uniform(0, 1) bit for bit, at a fifth of the cost
+        if accept(delta_e, cfg.beta, rng.random()):
             decision = (Decision.KEPT if delta_e < 0
                         else Decision.ACCEPTED_WORSE)
             current = candidate

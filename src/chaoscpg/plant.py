@@ -21,6 +21,7 @@ starves while annealing escapes.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence
@@ -140,6 +141,19 @@ class DeviationSample:
             raise ValueError("deviation must be finite")
 
 
+@functools.lru_cache(maxsize=128, typed=True)
+def _stance_rhythm(p: int, steps: int, expansion: int) -> np.ndarray:
+    """motor_rhythm(p, steps, expansion), built once and shared read-only.
+
+    The rhythm depends only on its arguments, so every window reuses it.
+    typed=True keeps 4 and 4.0 apart, so a non-integer period still fails
+    as motor_rhythm fails.
+    """
+    rhythm = motor_rhythm(p, steps, expansion)
+    rhythm.setflags(write=False)
+    return rhythm
+
+
 def simulate_window(cfg: PlantConfig, scenario: Scenario,
                     seed: int = 0) -> DeviationSample:
     """Deviation accumulated over one evaluation window.
@@ -162,7 +176,8 @@ def simulate_window(cfg: PlantConfig, scenario: Scenario,
             drag_lever[right] += abs(lat)
         else:
             p = scenario.periods[leg]
-            force = abs(lat) * cfg.stance_force(p) * motor_rhythm(p, w, cfg.expansion)
+            rhythm = _stance_rhythm(p, w, cfg.expansion)
+            force = abs(lat) * cfg.stance_force(p) * rhythm
             thrust[right] = thrust[right] + force
     cap = max(cfg.support_budget
               - cfg.load_per_disabled * len(scenario.disabled), 0.0)

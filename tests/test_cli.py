@@ -5,6 +5,7 @@ import json
 import pytest
 
 from chaoscpg.cli import config_hash, estimate_walltime, main
+from chaoscpg.gait import MAX_TRACE_STEPS
 
 
 def run(tmp_path, name, *argv):
@@ -144,9 +145,18 @@ def test_bad_input_gives_error_record(tmp_path, capsys):
     (["learn", "--disable", "R1"], "noise = -0.5", "noise"),
     (["learn", "--disable", "R1"], "thrust_gain = nan", "thrust_gain"),
     (["learn", "--disable", "R1"], "morphology = quadruped", "morphology"),
+    (["lyapunov", "--init", "0,0"], None, "(0,1)"),
+    (["lyapunov", "--init", "0.5"], None, "two activities"),
+    (["lyapunov", "--init", "nan,0.2"], None, "(0,1)"),
+    # one step past the bound: without the check this would just succeed
+    (["gait", "--p", "4", "--steps", str(MAX_TRACE_STEPS + 1)], None,
+     "steps"),
+    (["gait", "--p", "4", "--steps", "-5"], None, "steps"),
 ], ids=["init-one-value", "repeats-0", "max-trials-0", "beta-nan",
         "e-req-nan", "expansion-0", "negative-gain", "negative-noise",
-        "nan-gain", "morphology-mismatch"])
+        "nan-gain", "morphology-mismatch", "lyapunov-init-zero",
+        "lyapunov-init-one-value", "lyapunov-init-nan", "gait-steps-over-max",
+        "gait-steps-negative"])
 def test_bad_input_is_rejected_with_error_record(tmp_path, capsys, argv,
                                                  plant_line, fragment):
     if plant_line is not None:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chaoscpg.gait import (CYCLE_EXPANSION, DelayConfig,
+from chaoscpg.gait import (CYCLE_EXPANSION, MAX_TRACE_STEPS, DelayConfig,
                            GaitClass, GaitTrace, UnsupportedPeriodError,
                            apply_delays, classify_gait, gait_trace,
                            motor_rhythm, render_gait, rhythm_cycle)
@@ -85,6 +85,14 @@ def test_full_cycle_shift_is_identity():
 def test_apply_delays_mixed_periods_lcm_length():
     tr = apply_delays({LegId.R1: rhythm_cycle(4), LegId.L1: rhythm_cycle(5)})
     assert tr.steps == np.lcm(32, 40)
+
+
+def test_trace_length_is_bounded():
+    assert gait_trace(Morphology.HEXAPOD, 4,
+                      steps=MAX_TRACE_STEPS).steps == MAX_TRACE_STEPS
+    for steps in (-1, MAX_TRACE_STEPS + 1):
+        with pytest.raises(ValueError, match="steps"):
+            gait_trace(Morphology.HEXAPOD, 4, steps=steps)
 
 
 def test_delay_direction_flag():

@@ -1,15 +1,20 @@
 """Annealed period search: acceptance rule, proposals, bookkeeping."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chaoscpg import learner
+from chaoscpg.core import GAIT_PERIODS
 from chaoscpg.learner import (Decision, LearnerConfig, PERIOD_CHOICES,
                               SearchSpaceExhausted, accept, learn,
                               plant_evaluator, propose, sweep_beta)
 from chaoscpg.network import LegId, Morphology
-from chaoscpg.plant import PlantConfig, all_fours
+from chaoscpg.plant import PlantConfig, Scenario, all_fours, simulate_window
 
 CFG = PlantConfig()
 EVAL = plant_evaluator(CFG)
@@ -17,6 +22,10 @@ EVAL = plant_evaluator(CFG)
 
 def key(periods):
     return tuple(sorted((l.value, p) for l, p in periods.items()))
+
+
+def bits(x):
+    return struct.pack("<d", x)
 
 
 def test_accept_probability_value():
@@ -176,6 +185,64 @@ def test_sweep_beta_strict_greedy_label():
                       runs=2, seed=0)
     assert rows[1]["label"] == "strict-greedy"
     assert rows[0]["label"] == "annealing"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_memoised_evaluator_is_exact(data):
+    legs = Morphology.HEXAPOD.legs
+    noise = data.draw(st.sampled_from([0.0, 0.5, 3.0]))
+    cfg = PlantConfig(noise=noise)
+    disabled = data.draw(st.sets(st.sampled_from(legs)))
+    functional = [l for l in legs if l not in disabled]
+    periods = {l: data.draw(st.sampled_from(GAIT_PERIODS)) for l in functional}
+    order = data.draw(st.permutations(functional))
+    s = Scenario(disabled, {l: periods[l] for l in order})
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 31 - 1), min_size=2,
+                               max_size=4))
+    evaluate = plant_evaluator(cfg)
+    for seed in seeds:
+        want = bits(simulate_window(cfg, s, seed=seed).delta_phi)
+        assert bits(evaluate(s, seed)) == want       # computed
+        assert bits(evaluate(s, seed)) == want       # remembered
+        # the same map in morphology order is the same combination
+        assert bits(evaluate(Scenario(disabled, periods), seed)) == want
+        # a remembered map under an inconsistent disabled set still fails
+        if functional:
+            with pytest.raises(ValueError):
+                evaluate(Scenario(disabled | {functional[0]}, periods), seed)
+
+
+def test_memoised_evaluator_computes_each_combination_once(monkeypatch):
+    cfg = PlantConfig()
+    scenario = all_fours(cfg, {LegId.R1, LegId.R2})
+    betas, runs = [0.0, 0.5, 10.0, math.inf], 4
+
+    def plain(s, seed):
+        return simulate_window(cfg, s, seed=seed).delta_phi
+
+    expected = sweep_beta(plain, scenario, betas, runs=runs, seed=11)
+
+    windows = []
+    traces = []
+
+    def counted_window(*args, **kwargs):
+        windows.append(args)
+        return simulate_window(*args, **kwargs)
+
+    def kept_learn(*args, **kwargs):
+        traces.append(learn(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(learner, "simulate_window", counted_window)
+    monkeypatch.setattr(learner, "learn", kept_learn)
+    rows = sweep_beta(plant_evaluator(cfg), scenario, betas, runs=runs,
+                      seed=11)
+    assert rows == expected
+    assert len(traces) == len(betas) * runs
+    walked = {key(rec.periods) for t in traces for rec in t.records}
+    trials = sum(t.total_evaluations for t in traces)
+    assert len(windows) == len(walked) < trials
 
 
 def test_trace_serialization(tmp_path):

@@ -210,6 +210,22 @@ def test_config_rejects_bad_values(bad):
         PlantConfig(**bad)
 
 
+def test_stance_rhythm_cache_is_read_only():
+    from chaoscpg.gait import motor_rhythm
+    from chaoscpg.plant import _stance_rhythm
+    for p in (1, 4, 5, 6, 8, 9):
+        cached = _stance_rhythm(p, 400, 8)
+        assert cached is _stance_rhythm(p, 400, 8)
+        assert np.array_equal(cached, motor_rhythm(p, 400, 8))
+        with pytest.raises(ValueError):
+            cached[0] = not cached[0]
+    fresh = motor_rhythm(4, 400, 8)
+    assert fresh.flags.writeable
+    assert not np.shares_memory(fresh, motor_rhythm(4, 400, 8))
+    fresh[0] = False  # writing a fresh rhythm leaves the cached one alone
+    assert _stance_rhythm(4, 400, 8)[0]
+
+
 def test_eval_log(tmp_path):
     path = tmp_path / "log.csv"
     write_eval_log(path, [("R1", "R2=4", 7, 12.5)], header_lines=["seed=7"])
