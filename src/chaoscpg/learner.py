@@ -7,6 +7,10 @@ the plant for one window and keeps or aborts the new combination by the
 annealing rule: improvements always, deteriorations with probability
 exp(-beta * delta).  beta of 0 degenerates to random permutation; large or
 infinite beta degenerates to greedy search.
+
+Inside `learn` a combination of the n functional legs is a base-5 code in
+[0, 5**n): digit i is the PERIOD_CHOICES index of the i-th leg in name
+order, so a proposal replaces one digit.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from statistics import mean, stdev
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,18 +32,12 @@ from .plant import PlantConfig, Scenario, simulate_window
 PERIOD_CHOICES = (4, 5, 6, 8, 9)
 
 PeriodMap = Dict[LegId, int]
-PeriodKey = Tuple[Tuple[str, int], ...]
-
-
-class SearchSpaceExhausted(RuntimeError):
-    """Every combination of the functional legs' periods has been walked."""
 
 
 class Decision(str, enum.Enum):
     KEPT = "kept"
     ACCEPTED_WORSE = "accepted-worse"
     ABORTED = "aborted"
-    DUPLICATE_SKIPPED = "duplicate-skipped"  # never evaluated, only counted
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,6 @@ class LearnerConfig:
     beta: float = 0.5           # math.inf selects strict greedy search
     e_req: float = 8.0          # required deviation magnitude, degrees
     max_trials: int = 200       # cap on plant evaluations per run
-    period_set: tuple = PERIOD_CHOICES
     seed: int = 0
 
     def __post_init__(self):
@@ -57,8 +54,6 @@ class LearnerConfig:
             raise ValueError(f"e_req must be finite and positive, got {self.e_req}")
         if self.max_trials < 1:
             raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
-        if tuple(self.period_set) != PERIOD_CHOICES:
-            raise ValueError(f"period set is fixed to {PERIOD_CHOICES}")
 
 
 @dataclass
@@ -67,10 +62,6 @@ class TrialRecord:
     periods: PeriodMap
     deviation: float            # signed, degrees
     decision: Decision
-
-    @property
-    def cost(self) -> float:
-        return abs(self.deviation)
 
 
 @dataclass
@@ -100,47 +91,22 @@ class LearningTrace:
         return dict(self.initial)
 
 
-#: leg names by leg; LegId.value is an enum property, slow on every draw
-_LEG_NAMES = {leg: leg.value for leg in LegId}
+def _propose(code: int, walked: bytearray, weights: Sequence[int],
+             rng: np.random.Generator) -> Tuple[int, int]:
+    """The next unwalked code and the number of walked draws skipped.
 
-
-def _key(periods: PeriodMap) -> PeriodKey:
-    return tuple(sorted([(_LEG_NAMES[leg], p) for leg, p in periods.items()]))
-
-
-def _propose_with_count(current: PeriodMap, history: Set[PeriodKey],
-                        functional: Sequence[LegId], rng: np.random.Generator,
-                        period_set: Sequence[int]
-                        ) -> Tuple[PeriodMap, PeriodKey, int]:
-    if not functional:
-        raise ValueError("no functional legs to propose for")
-    if len(history) >= len(period_set) ** len(functional):
-        raise SearchSpaceExhausted(
-            f"all {len(period_set) ** len(functional)} combinations walked")
-    candidate = dict(current)
+    Each draw replaces the digit of one random leg (weight w) with a random
+    period index; a draw that lands on a walked code is re-drawn from that
+    code, so the proposal random-walks outward until it finds fresh
+    ground.  walked must hold at least one zero.
+    """
     skipped = 0
     while True:
-        leg = functional[int(rng.integers(len(functional)))]
-        candidate[leg] = int(period_set[int(rng.integers(len(period_set)))])
-        key = _key(candidate)
-        if key not in history:
-            return candidate, key, skipped
+        w = weights[int(rng.integers(len(weights)))]
+        code += (int(rng.integers(5)) - code // w % 5) * w
+        if not walked[code]:
+            return code, skipped
         skipped += 1
-
-
-def propose(current: PeriodMap, history: Set[PeriodKey],
-            functional: Sequence[LegId], rng: np.random.Generator,
-            period_set: Sequence[int] = PERIOD_CHOICES) -> PeriodMap:
-    """Draw the next unwalked combination.
-
-    Each draw re-assigns one random functional leg; draws that land on a
-    walked combination are re-drawn from the rejected candidate, so the
-    proposal random-walks outward until it finds fresh ground.  Disabled
-    legs are never touched.
-    """
-    candidate, _, _ = _propose_with_count(current, history, functional, rng,
-                                          period_set)
-    return candidate
 
 
 def accept(delta_e: float, beta: float, x: float) -> bool:
@@ -161,15 +127,18 @@ Evaluator = Callable[[Scenario, int], float]
 def plant_evaluator(cfg: PlantConfig) -> Evaluator:
     """simulate_window's deviation, computed once per distinct input.
 
-    A window is a pure function of the disabled set and the period map,
-    and of the trial seed only when the plant is noisy, so the evaluator
+    A window is a pure function of the period map (whose legs fix the
+    disabled set once the scenario is valid), and of the trial seed only
+    when the plant is noisy, so the evaluator validates each scenario and
     remembers each deviation under that key.  The memo lives in the
     closure: each evaluator, and so each command, pays for its own windows.
     """
+    legs = cfg.morphology.legs
     memo: Dict[tuple, float] = {}
 
     def evaluate(scenario: Scenario, seed: int) -> float:
-        key = (scenario.disabled, _key(scenario.periods),
+        scenario.validate(cfg)
+        key = (tuple(map(scenario.periods.get, legs)),
                seed if cfg.noise else None)
         dev = memo.get(key)
         if dev is None:
@@ -183,56 +152,66 @@ def learn(evaluate: Evaluator, scenario: Scenario,
           cfg: LearnerConfig = LearnerConfig()) -> LearningTrace:
     """Run one learning session and return its full trace.
 
-    scenario fixes the disabled set; its period map is the starting point
-    and is normally all fours.  The cost is the deviation magnitude; the
-    sign is logged.  The session ends when the cost drops below e_req
-    (possibly already at the first evaluation) or at the trial cap.
+    scenario fixes the disabled set; its period map is the starting point,
+    normally all fours, and must take every period from PERIOD_CHOICES.
+    The cost is the deviation magnitude; the sign is logged.  The session
+    ends when the cost drops below e_req (possibly already at the first
+    evaluation), at the trial cap or when every combination was walked.
     """
+    start = scenario.periods
+    bad = {l.value: p for l, p in start.items()
+           if type(p) is not int or p not in PERIOD_CHOICES}
+    if bad:
+        raise ValueError(f"start periods {bad} are not ints in {PERIOD_CHOICES}")
     rng = np.random.default_rng(cfg.seed)
-    functional = sorted(scenario.periods.keys(), key=lambda l: l.value)
-    current = dict(scenario.periods)
-    trace = LearningTrace(scenario=scenario, initial=dict(current),
+    # the RNG indexes legs in name order, so that order fixes the digits
+    weight = {leg: 5 ** i
+              for i, leg in enumerate(sorted(start, key=lambda l: l.value))}
+    weights = list(weight.values())
+    code = sum(PERIOD_CHOICES.index(p) * weight[l] for l, p in start.items())
+    # every evaluation walks a fresh code, so total_evaluations counts them
+    walked = bytearray(5 ** len(weights))
+    walked[code] = 1
+    trace = LearningTrace(scenario=scenario, initial=dict(start),
                           seed=cfg.seed)
-    history: Set[PeriodKey] = {_key(current)}
 
-    def run_plant(periods: PeriodMap) -> float:
+    def run_plant(code: int) -> Tuple[PeriodMap, float]:
+        periods = {l: PERIOD_CHOICES[code // w % 5] for l, w in weight.items()}
         trial_seed = int(rng.integers(2 ** 31))
-        return evaluate(Scenario(scenario.disabled, periods), trial_seed)
+        return periods, evaluate(Scenario(scenario.disabled, periods),
+                                 trial_seed)
 
-    dev = run_plant(current)
+    periods, dev = run_plant(code)
     trace.total_evaluations = 1
     cost_current = abs(dev)
-    trace.records.append(TrialRecord(n=0, periods=dict(current),
-                                     deviation=dev, decision=Decision.KEPT))
+    trace.records.append(TrialRecord(n=0, periods=periods, deviation=dev,
+                                     decision=Decision.KEPT))
     if cost_current < cfg.e_req:
         trace.outcome = "converged"
         return trace
 
-    n = 0
     while trace.total_evaluations < cfg.max_trials:
-        n += 1
-        try:
-            candidate, key, skipped = _propose_with_count(
-                current, history, functional, rng, cfg.period_set)
-        except SearchSpaceExhausted:
+        if trace.total_evaluations == len(walked):
             trace.exhausted = True
             break
-        history.add(key)
+        candidate, skipped = _propose(code, walked, weights, rng)
+        walked[candidate] = 1
         # draws that bounced off walked combinations cost no evaluation
         trace.duplicate_skips += skipped
-        dev = run_plant(candidate)
+        periods, dev = run_plant(candidate)
         trace.total_evaluations += 1
         delta_e = abs(dev) - cost_current
         # random() is uniform(0, 1) bit for bit, at a fifth of the cost
         if accept(delta_e, cfg.beta, rng.random()):
             decision = (Decision.KEPT if delta_e < 0
                         else Decision.ACCEPTED_WORSE)
-            current = candidate
+            code = candidate
             cost_current = abs(dev)
         else:
             decision = Decision.ABORTED
-        trace.records.append(TrialRecord(n=n, periods=dict(candidate),
-                                         deviation=dev, decision=decision))
+        trace.records.append(TrialRecord(n=len(trace.records),
+                                         periods=periods, deviation=dev,
+                                         decision=decision))
         if abs(dev) < cfg.e_req:
             trace.outcome = "converged"
             break

@@ -123,7 +123,8 @@ class Scenario:
                 "periods must cover exactly the functional legs "
                 "(disabled legs carry no period)")
         for leg, p in self.periods.items():
-            if p not in GAIT_PERIODS:
+            # type(p) is int also keeps out floats such as 4.0 and bools
+            if type(p) is not int or p not in GAIT_PERIODS:
                 raise ValueError(f"period {p} for {leg.value} is not a gait period")
 
     def functional(self, cfg: PlantConfig) -> tuple:

@@ -29,18 +29,6 @@ def battery(morphology: Morphology) -> List[FrozenSet[LegId]]:
     return [frozenset(LegId(name) for name in row) for row in raw]
 
 
-def hexapod_battery() -> List[FrozenSet[LegId]]:
-    return battery(Morphology.HEXAPOD)
-
-
-def quadruped_battery() -> List[FrozenSet[LegId]]:
-    return battery(Morphology.QUADRUPED)
-
-
-def mirror_set(disabled: FrozenSet[LegId]) -> FrozenSet[LegId]:
-    return frozenset(leg.mirrored for leg in disabled)
-
-
 def search_space_size(morphology: Morphology) -> int:
     """Number of distinct all-legs period assignments, 5 per leg."""
     return 5 ** len(morphology.legs)

@@ -17,7 +17,7 @@ from chaoscpg.learner import (Decision, LearnerConfig, accept, learn,
                               plant_evaluator)
 from chaoscpg.network import CpgNetwork, LegId, Morphology
 from chaoscpg.plant import PlantConfig, Scenario, all_fours, mirror, simulate_window
-from chaoscpg.scenarios import hexapod_battery
+from chaoscpg.scenarios import battery
 
 P = CpgParams()
 PLANT = PlantConfig()
@@ -197,7 +197,7 @@ def test_c08_beta_ordering_and_greedy_trap():
         return fails / runs
 
     exists = []
-    for disabled in hexapod_battery():
+    for disabled in battery(Morphology.HEXAPOD):
         if len(disabled) < 2:
             continue
         greedy = fail_rate(disabled, math.inf)

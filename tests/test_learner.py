@@ -1,5 +1,6 @@
 """Annealed period search: acceptance rule, proposals, bookkeeping."""
 
+import itertools
 import math
 import struct
 
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from chaoscpg import learner
 from chaoscpg.core import GAIT_PERIODS
 from chaoscpg.learner import (Decision, LearnerConfig, PERIOD_CHOICES,
-                              SearchSpaceExhausted, accept, learn,
-                              plant_evaluator, propose, sweep_beta)
+                              _propose, accept, learn, plant_evaluator,
+                              sweep_beta)
 from chaoscpg.network import LegId, Morphology
 from chaoscpg.plant import PlantConfig, Scenario, all_fours, simulate_window
 
@@ -67,37 +68,51 @@ def test_accept_empirical_frequency_small():
     assert abs(hits / n - p) < 3 * se
 
 
+def digits(code, n):
+    return [code // 5 ** i % 5 for i in range(n)]
+
+
 def test_propose_changes_one_functional_leg():
     rng = np.random.default_rng(1)
-    functional = [l for l in Morphology.HEXAPOD.legs if l is not LegId.R1]
-    current = {l: 4 for l in functional}
+    weights = [5 ** i for i in range(5)]    # five functional legs
     for _ in range(100):
-        cand = propose(current, {key(current)}, functional, rng)
-        assert LegId.R1 not in cand
-        changed = [l for l in functional if cand[l] != current[l]]
-        assert len(changed) == 1
-        assert cand[changed[0]] in PERIOD_CHOICES
+        code = int(rng.integers(5 ** 5))
+        walked = bytearray(5 ** 5)
+        walked[code] = 1
+        cand, _ = _propose(code, walked, weights, rng)
+        changed = [a != b for a, b in zip(digits(cand, 5), digits(code, 5))]
+        assert 0 <= cand < 5 ** 5
+        assert sum(changed) == 1
 
 
 def test_propose_pigeonhole_returns_last_combination():
-    import itertools
     rng = np.random.default_rng(2)
-    functional = [LegId.R2, LegId.R3]
-    target = {LegId.R2: 9, LegId.R3: 6}
-    history = {key({LegId.R2: a, LegId.R3: b})
-               for a, b in itertools.product(PERIOD_CHOICES, repeat=2)}
-    history.discard(key(target))
-    cand = propose({LegId.R2: 4, LegId.R3: 4}, history, functional, rng)
+    walked = bytearray([1]) * 25            # two functional legs
+    target = 3 + 5 * 4                      # periods 8 and 9
+    walked[target] = 0
+    cand, skipped = _propose(0, walked, [1, 5], rng)
     assert cand == target
+    assert skipped >= 1
 
 
-def test_propose_exhausted_space():
-    import itertools
-    rng = np.random.default_rng(3)
-    functional = [LegId.R2]
-    history = {key({LegId.R2: p}) for p in PERIOD_CHOICES}
-    with pytest.raises(SearchSpaceExhausted):
-        propose({LegId.R2: 4}, history, functional, rng)
+def test_propose_exhausted_space(monkeypatch):
+    # learn stops at exhaustion and never proposes into full flags, where
+    # _propose would draw forever
+    calls = []
+
+    def checked(code, walked, weights, rng):
+        assert not all(walked)
+        calls.append(code)
+        return _propose(code, walked, weights, rng)
+
+    monkeypatch.setattr(learner, "_propose", checked)
+    for n in (1, 2, 3):
+        calls.clear()
+        disabled = Morphology.HEXAPOD.legs[n:]
+        trace = learn(EVAL, all_fours(CFG, disabled),
+                      LearnerConfig(seed=3, e_req=1e-9, max_trials=1000))
+        assert trace.exhausted
+        assert len(calls) == 5 ** n - 1
 
 
 def test_learn_converges_and_obeys_bookkeeping():
@@ -139,13 +154,32 @@ def test_learn_immediate_convergence_for_balanced_scenario():
     assert len(trace.records) == 1
 
 
-def test_learn_exhausts_tiny_space():
-    disabled = set(Morphology.HEXAPOD.legs) - {LegId.L3}
+@pytest.mark.parametrize("functional", [[LegId.L3], [LegId.R2, LegId.R3]],
+                         ids=["1-leg", "2-legs"])
+def test_learn_exhausts_tiny_space(functional):
+    disabled = set(Morphology.HEXAPOD.legs) - set(functional)
     trace = learn(EVAL, all_fours(CFG, disabled),
                   LearnerConfig(seed=1, e_req=1e-9))
     assert trace.exhausted
     assert trace.outcome == "trial-cap-reached"
-    assert trace.total_evaluations == 5  # the whole 5^1 space
+    # the whole 5^n space, every combination walked exactly once
+    walked = [key(r.periods) for r in trace.records]
+    assert trace.total_evaluations == len(walked) == 5 ** len(functional)
+    assert set(walked) == {key(dict(zip(functional, ps))) for ps in
+                           itertools.product(PERIOD_CHOICES,
+                                             repeat=len(functional))}
+
+
+@pytest.mark.parametrize("start", [{LegId.L3: 1}, {LegId.L3: 7},
+                                   {LegId.L3: 4.0}, {LegId.L3: True}],
+                         ids=["period-1", "period-7", "float", "bool"])
+def test_learn_rejects_start_outside_search_set(start):
+    # a start outside the 5^n space would miscount exhaustion: from
+    # {L3: 1}, five evaluations would end the session with period 4 unwalked
+    disabled = set(Morphology.HEXAPOD.legs) - {LegId.L3}
+    with pytest.raises(ValueError, match="start periods"):
+        learn(EVAL, Scenario(disabled, start),
+              LearnerConfig(seed=1, e_req=1e-9))
 
 
 def test_learn_deterministic_per_seed():
@@ -160,8 +194,6 @@ def test_learner_config_validation():
         LearnerConfig(beta=-0.1)
     with pytest.raises(ValueError):
         LearnerConfig(e_req=0.0)
-    with pytest.raises(ValueError):
-        LearnerConfig(period_set=(1, 4, 5, 6, 8))
     for bad in (dict(beta=math.nan), dict(e_req=math.nan),
                 dict(e_req=math.inf), dict(max_trials=0)):
         with pytest.raises(ValueError):
@@ -207,10 +239,15 @@ def test_memoised_evaluator_is_exact(data):
         assert bits(evaluate(s, seed)) == want       # remembered
         # the same map in morphology order is the same combination
         assert bits(evaluate(Scenario(disabled, periods), seed)) == want
-        # a remembered map under an inconsistent disabled set still fails
+        # a remembered map under an inconsistent disabled set still fails,
+        # and so does one with a float or a bool period
         if functional:
             with pytest.raises(ValueError):
                 evaluate(Scenario(disabled | {functional[0]}, periods), seed)
+            leg = functional[0]
+            for bad in (float(periods[leg]), True):
+                with pytest.raises(ValueError):
+                    evaluate(Scenario(disabled, {**periods, leg: bad}), seed)
 
 
 def test_memoised_evaluator_computes_each_combination_once(monkeypatch):

@@ -1,16 +1,15 @@
 """The committed scenario batteries are pinned here."""
 
 from chaoscpg.network import LegId, Morphology
-from chaoscpg.scenarios import (hexapod_battery, mirror_set,
-                                quadruped_battery, search_space_size)
+from chaoscpg.scenarios import battery, search_space_size
 
 
 def names(s):
     return frozenset(l.value for l in s)
 
 
-def test_hexapod_battery_shape():
-    rows = hexapod_battery()
+def test_battery_hexapod_shape():
+    rows = battery(Morphology.HEXAPOD)
     assert len(rows) == 21
     sizes = [len(r) for r in rows]
     assert sizes.count(1) == 6
@@ -19,20 +18,20 @@ def test_hexapod_battery_shape():
 
 
 def test_no_multi_leg_row_mirrors_another():
-    rows = hexapod_battery()
+    rows = battery(Morphology.HEXAPOD)
     multi = [r for r in rows if len(r) > 1]
     for i, r in enumerate(multi):
         for other in multi[i + 1:]:
-            assert mirror_set(r) != other, (names(r), names(other))
+            assert frozenset(l.mirrored for l in r) != other, (names(r), names(other))
 
 
 def test_rows_are_unique():
-    rows = hexapod_battery()
+    rows = battery(Morphology.HEXAPOD)
     assert len(set(rows)) == 21
 
 
 def test_referenced_scenarios_present():
-    rows = set(hexapod_battery())
+    rows = set(battery(Morphology.HEXAPOD))
     assert frozenset({LegId.R1}) in rows
     assert frozenset({LegId.R1, LegId.R3}) in rows
     assert frozenset({LegId.R1, LegId.L2}) in rows
@@ -40,13 +39,13 @@ def test_referenced_scenarios_present():
 
 
 def test_full_side_failure_excluded():
-    rows = set(hexapod_battery())
+    rows = set(battery(Morphology.HEXAPOD))
     assert frozenset({LegId.R1, LegId.R2, LegId.R3}) not in rows
     assert frozenset({LegId.L1, LegId.L2, LegId.L3}) not in rows
 
 
 def test_three_leg_rows_cover_all_recoverable_mirror_classes():
-    rows = [r for r in hexapod_battery() if len(r) == 3]
+    rows = [r for r in battery(Morphology.HEXAPOD) if len(r) == 3]
     # exactly the sets with two right legs and one left leg
     for r in rows:
         sides = sorted(l.side for l in r)
@@ -54,8 +53,8 @@ def test_three_leg_rows_cover_all_recoverable_mirror_classes():
     assert len(set(rows)) == 9
 
 
-def test_quadruped_battery():
-    rows = quadruped_battery()
+def test_battery_quadruped():
+    rows = battery(Morphology.QUADRUPED)
     assert len(rows) == 4
     assert all(len(r) == 1 for r in rows)
     assert {names(r) for r in rows} == {frozenset({n}) for n in
