@@ -144,7 +144,7 @@ def cmd_learn(args) -> int:
     rows = [(":".join(sorted(l.value for l in disabled)),
              " ".join(f"{l.value}={p}" for l, p in sorted(
                  rec.periods.items(), key=lambda kv: kv[0].value)),
-             trace.seed, rec.deviation) for rec in trace.records]
+             rec.seed, rec.deviation) for rec in trace.records]
     write_eval_log(out / "evaluations.csv", rows, header_lines=header)
     print(f"{trace.outcome} after {trace.total_evaluations} trials "
           f"(final deviation {trace.final.deviation:+.2f} deg)")

@@ -298,6 +298,19 @@ class CpgOscillator:
         self._scan_steps += 1
         return self.state
 
+    def _skip_locked(self, steps: int) -> None:
+        """Move a locked oscillator as `steps` calls of advance would.
+
+        A locked oscillator only walks its loop, so state, _phase and
+        last_c follow from the phase by arithmetic.
+        """
+        if steps == 0:  # the lock step's state may not lie on the loop yet
+            return
+        self._phase = (self._phase + steps) % self.p
+        x1, x2 = self._loop[self._phase]
+        self.last_c = (self._loop_c1[(self._phase - 1) % self.p], 0.0)
+        self.state = CpgState(x1, x2, self.state.t + steps)
+
 
 @dataclass
 class Trajectory:

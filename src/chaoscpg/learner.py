@@ -62,6 +62,7 @@ class TrialRecord:
     periods: PeriodMap
     deviation: float            # signed, degrees
     decision: Decision
+    seed: int                   # the trial seed the plant window ran with
 
 
 @dataclass
@@ -175,17 +176,17 @@ def learn(evaluate: Evaluator, scenario: Scenario,
     trace = LearningTrace(scenario=scenario, initial=dict(start),
                           seed=cfg.seed)
 
-    def run_plant(code: int) -> Tuple[PeriodMap, float]:
+    def run_plant(code: int) -> Tuple[PeriodMap, int, float]:
         periods = {l: PERIOD_CHOICES[code // w % 5] for l, w in weight.items()}
         trial_seed = int(rng.integers(2 ** 31))
-        return periods, evaluate(Scenario(scenario.disabled, periods),
-                                 trial_seed)
+        return periods, trial_seed, evaluate(
+            Scenario(scenario.disabled, periods), trial_seed)
 
-    periods, dev = run_plant(code)
+    periods, trial_seed, dev = run_plant(code)
     trace.total_evaluations = 1
     cost_current = abs(dev)
     trace.records.append(TrialRecord(n=0, periods=periods, deviation=dev,
-                                     decision=Decision.KEPT))
+                                     decision=Decision.KEPT, seed=trial_seed))
     if cost_current < cfg.e_req:
         trace.outcome = "converged"
         return trace
@@ -198,7 +199,7 @@ def learn(evaluate: Evaluator, scenario: Scenario,
         walked[candidate] = 1
         # draws that bounced off walked combinations cost no evaluation
         trace.duplicate_skips += skipped
-        periods, dev = run_plant(candidate)
+        periods, trial_seed, dev = run_plant(candidate)
         trace.total_evaluations += 1
         delta_e = abs(dev) - cost_current
         # random() is uniform(0, 1) bit for bit, at a fifth of the cost
@@ -211,7 +212,7 @@ def learn(evaluate: Evaluator, scenario: Scenario,
             decision = Decision.ABORTED
         trace.records.append(TrialRecord(n=len(trace.records),
                                          periods=periods, deviation=dev,
-                                         decision=decision))
+                                         decision=decision, seed=trial_seed))
         if abs(dev) < cfg.e_req:
             trace.outcome = "converged"
             break

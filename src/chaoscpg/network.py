@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -64,9 +65,10 @@ MASTER_LEG = LegId.R1
 
 
 def _check_period(p: int) -> int:
-    if p not in GAIT_PERIODS:
+    # type(p) is int also keeps out floats such as 4.0 and bools
+    if type(p) is not int or p not in GAIT_PERIODS:
         raise ValueError(
-            f"period {p} is not usable for locomotion; allowed: {GAIT_PERIODS}"
+            f"period {p!r} is not usable for locomotion; allowed: {GAIT_PERIODS}"
             " (2 switches too fast, 3 and 7 have no stable pattern)")
     return p
 
@@ -111,10 +113,11 @@ class CpgNetwork:
     def legs(self) -> tuple:
         return self.morphology.legs
 
+    def _oscillator(self, leg: LegId) -> CpgOscillator:
+        return self.master if leg is MASTER_LEG else self.clients[leg].osc
+
     def state_of(self, leg: LegId) -> CpgState:
-        if leg is MASTER_LEG:
-            return self.master.state
-        return self.clients[leg].osc.state
+        return self._oscillator(leg).state
 
     def step(self) -> None:
         """Advance master first; clients read the master's fresh output."""
@@ -145,6 +148,8 @@ class CpgNetwork:
 
     def set_periods(self, assignment: Mapping[LegId, int]) -> None:
         """Assign per-leg periods; mismatched clients lose synchrony."""
+        # LegId(...) raises ValueError for anything that names no leg
+        assignment = {LegId(leg): p for leg, p in assignment.items()}
         for leg, p in assignment.items():
             _check_period(p)
             if leg not in self.periods:
@@ -168,22 +173,66 @@ class CpgNetwork:
                 self.set_sync(leg, False)
 
     def run(self, steps: int) -> "NetworkTrace":
+        """Step the network `steps` times; the trace holds steps + 1 rows.
+
+        Once the master and every desynced client have locked, each of them
+        walks its loop, so the network can only repeat with period L, the
+        lcm of their periods.  When every leg state and loop phase recurs
+        bitwise after L more steps, the remaining rows are copies of the
+        last L and the oscillators jump to their final states by
+        arithmetic.  Until then, and while the states do not recur (synced
+        clients may not settle when w22 != 0), the network steps.
+        """
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
         legs = self.legs
         n = steps + 1
-        x1 = {leg: np.empty(n) for leg in legs}
-        x2 = {leg: np.empty(n) for leg in legs}
-        alpha = {leg: np.empty(n, dtype=np.int64) for leg in legs
-                 if leg is not MASTER_LEG}
+        oscs = [self._oscillator(leg) for leg in legs]
+        movers = [self.master] + [c.osc for c in self.clients.values()
+                                  if c.alpha == 0]
+        pending = [osc for osc in movers if not osc.locked]
+        period = math.lcm(*(osc.p for osc in movers))
+        x1 = [np.empty(n) for _ in legs]
+        x2 = [np.empty(n) for _ in legs]
+        series = list(zip(x1, x2, oscs))
+        anchor = snapshot = None
         for k in range(n):
             if k > 0:
                 self.step()
-            for leg in legs:
-                s = self.state_of(leg)
-                x1[leg][k] = s.x1
-                x2[leg][k] = s.x2
-                if leg is not MASTER_LEG:
-                    alpha[leg][k] = self.clients[leg].alpha
-        return NetworkTrace(legs=legs, x1=x1, x2=x2, alpha=alpha)
+            for xs1, xs2, osc in series:
+                s = osc.state
+                xs1[k] = s.x1
+                xs2[k] = s.x2
+            # locks are never lost within a run
+            while pending and pending[-1].locked:
+                pending.pop()
+            if pending or (anchor is not None and k < anchor + period):
+                continue
+            now = ([(osc.state.x1, osc.state.x2) for osc in oscs],
+                   [osc._phase for osc in movers])
+            if now == snapshot:
+                # row r > k repeats row r - L.  Rows after the anchor hold
+                # whole hyper-periods, so slices of doubling length copy
+                # them without an index or a temporary array.
+                span, start = period, k + 1
+                while start < n:
+                    stop = min(start + span, n)
+                    for xs in x1 + x2:
+                        xs[start:stop] = xs[start - span:stop - span]
+                    start, span = stop, 2 * span
+                skipped = n - 1 - k
+                for xs1, xs2, osc in series:
+                    if osc in movers:
+                        osc._skip_locked(skipped)
+                    else:   # a synced client: its state is its last row
+                        osc.state = CpgState(float(xs1[-1]), float(xs2[-1]),
+                                             osc.state.t + skipped)
+                break
+            anchor, snapshot = k, now
+        alpha = {leg: np.full(n, client.alpha, dtype=np.int64)
+                 for leg, client in self.clients.items()}
+        return NetworkTrace(legs=legs, x1=dict(zip(legs, x1)),
+                            x2=dict(zip(legs, x2)), alpha=alpha)
 
 
 @dataclass

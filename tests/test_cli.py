@@ -175,3 +175,27 @@ def test_plant_config_flag(tmp_path):
     code, out = run(tmp_path, "pc", "learn", "--disable", "R1",
                     "--plant-config", str(cfgfile), "--seed", "0")
     assert code == 0
+
+
+def test_evaluation_log_reproduces_noisy_windows(tmp_path):
+    import csv
+    from chaoscpg.network import LegId
+    from chaoscpg.plant import (PlantConfig, Scenario, load_config, save_config,
+                                simulate_window)
+    cfgfile = tmp_path / "noisy.cfg"
+    save_config(PlantConfig(noise=0.7), cfgfile)
+    cfg = load_config(cfgfile)
+    code, out = run(tmp_path, "noisy", "learn", "--disable", "R1,R3",
+                    "--plant-config", str(cfgfile), "--seed", "5")
+    assert code in (0, 1)
+    lines = [l for l in (out / "evaluations.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == read_manifest(out)["total_evaluations"] > 1
+    for row in rows:
+        assert row["disabled"] == "R1:R3"
+        periods = {LegId(leg): int(p) for leg, p in
+                   (kv.split("=") for kv in row["periods"].split())}
+        window = simulate_window(cfg, Scenario({LegId.R1, LegId.R3}, periods),
+                                 seed=int(row["seed"]))
+        assert repr(float(window.delta_phi)) == row["delta_phi_deg"]

@@ -1,9 +1,14 @@
 """Master/client composition, synchrony and period assignment."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaoscpg.core import CpgOscillator, CpgParams, detect_period
+from chaoscpg.core import GAIT_PERIODS, CpgOscillator, CpgParams, detect_period
 from chaoscpg.network import CpgNetwork, LegId, Morphology
 
 
@@ -197,3 +202,147 @@ def test_network_trace_csv(tmp_path):
     assert "R1_x1" in header and "R1_alpha" not in header
     assert "L3_x1" in header and "L3_alpha" in header
     assert len(lines) == 1 + 26
+
+
+def test_run_rejects_negative_steps():
+    net = CpgNetwork(seed=0)
+    with pytest.raises(ValueError):
+        net.run(-1)
+    before = {leg: net.state_of(leg) for leg in net.legs}
+    trace = net.run(0)
+    assert len(trace) == 1
+    for leg in net.legs:
+        assert net.state_of(leg) == before[leg]
+        assert trace.x1[leg][0] == before[leg].x1
+        assert trace.x2[leg][0] == before[leg].x2
+
+
+def test_periods_and_leg_keys_are_validated():
+    for bad in (4.0, True, "4", None):
+        with pytest.raises(ValueError):
+            CpgNetwork(master_period=bad)
+        with pytest.raises(ValueError):
+            CpgNetwork(seed=0).set_periods({LegId.L1: bad})
+    for bad in ("X9", "r1", 1, None):
+        with pytest.raises(ValueError):
+            CpgNetwork(seed=0).set_periods({bad: 5})
+    net = CpgNetwork(seed=0, master_period=4)
+    net.set_periods({"R1": 5, "L2": 6})
+    assert net.master.p == 5 and net.periods[LegId.R1] == 5
+    assert net.periods[LegId.L2] == 6 and net.clients[LegId.L2].osc.p == 6
+    assert all(type(leg) is LegId for leg in net.periods)
+
+
+# -- run() copies whole hyper-periods once the network is locked -------------
+
+
+def _reference_run(net, steps):
+    """Rows of x1, x2 and alpha from plain stepping, the start included."""
+    rows = []
+    for k in range(steps + 1):
+        if k:
+            net.step()
+        rows.append([(net.state_of(l).x1, net.state_of(l).x2,
+                      net.clients[l].alpha if l in net.clients else None)
+                     for l in net.legs])
+    return rows
+
+
+def _trace_rows(traces):
+    """Rows of consecutive traces; each trace repeats the last row before it."""
+    rows = []
+    for i, trace in enumerate(traces):
+        legs = trace.legs
+        for k in range(1 if i else 0, len(trace)):
+            rows.append([(float(trace.x1[l][k]), float(trace.x2[l][k]),
+                          int(trace.alpha[l][k]) if l in trace.alpha else None)
+                         for l in legs])
+    return rows
+
+
+def _oscillators(net):
+    return [net.master] + [c.osc for c in net.clients.values()]
+
+
+def _assert_same_network(net, ref):
+    for a, b in zip(_oscillators(net), _oscillators(ref)):
+        assert a.state == b.state
+        assert type(a.state.x1) is float and type(a.state.x2) is float
+        assert a._phase == b._phase
+        assert a.last_c == b.last_c
+        assert a.locked == b.locked and a.lock_step == b.lock_step
+    assert [c.alpha for c in net.clients.values()] == \
+        [c.alpha for c in ref.clients.values()]
+
+
+def _run_both(net, ref, *chunks):
+    """run(a), run(b), ... on net against one plain loop of a + b + ... steps."""
+    got = _trace_rows([net.run(steps) for steps in chunks])
+    want = _reference_run(ref, sum(chunks))
+    # == on the floats is bitwise here: activities lie in (0, 1), never NaN
+    assert got == want
+    _assert_same_network(net, ref)
+
+
+def _hyper_period(net):
+    movers = [net.master] + [c.osc for c in net.clients.values()
+                             if c.alpha == 0]
+    return math.lcm(*(osc.p for osc in movers))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_run_matches_plain_stepping(data):
+    morphology = data.draw(st.sampled_from(list(Morphology)))
+    params = data.draw(st.sampled_from([CpgParams(), CpgParams(w22=0.8)]))
+    net = CpgNetwork(morphology, params=params,
+                     master_period=data.draw(st.sampled_from(GAIT_PERIODS)),
+                     seed=data.draw(st.integers(0, 2 ** 16)))
+    ref = copy.deepcopy(net)
+    _run_both(net, ref, data.draw(st.integers(0, 300)))
+    periods = data.draw(st.dictionaries(st.sampled_from(morphology.legs),
+                                        st.sampled_from(GAIT_PERIODS)))
+    net.set_periods(periods)
+    ref.set_periods(periods)
+    _run_both(net, ref, data.draw(st.integers(0, 1500)))
+    # step counts around the hyper-period L, split over two runs
+    hyper = _hyper_period(net)
+    near = st.sampled_from([0, 1, hyper - 1, hyper, hyper + 1,
+                            2 * hyper + hyper // 2]) | st.integers(0, 4 * hyper)
+    _run_both(net, ref, data.draw(near), data.draw(near))
+    # a client that locked on its own is pulled back into sync
+    locked = [l for l, c in net.clients.items() if c.alpha == 0 and c.osc.locked]
+    if locked:
+        leg = data.draw(st.sampled_from(locked))
+        net.set_sync(leg, True)
+        ref.set_sync(leg, True)
+        _run_both(net, ref, data.draw(near), data.draw(st.integers(0, 200)))
+
+
+def test_run_copies_only_a_recurring_state(monkeypatch):
+    # with w22 != 0 a resynced client's second neuron takes a while to
+    # settle bitwise, so the first snapshots after the lock do not recur
+    def build(params):
+        net = CpgNetwork(Morphology.QUADRUPED, params=params, seed=0)
+        net.set_periods({LegId.L2: 6})
+        net.run(2000)
+        assert net.master.locked and net.clients[LegId.L2].osc.locked
+        net.set_sync(LegId.L2, True)
+        return net
+
+    stepped = []
+    step = CpgNetwork.step
+    monkeypatch.setattr(CpgNetwork, "step",
+                        lambda self: stepped.append(1) or step(self))
+    for params, fell_back in ((CpgParams(), False), (CpgParams(w22=0.8), True)):
+        net = build(params)
+        ref = copy.deepcopy(net)
+        stepped.clear()
+        trace = net.run(3000)
+        # L = 4: the snapshot at row 0 (resynced x1) fails, the one at row 4
+        # recurs at row 8 unless the second neuron is still settling
+        simulated = len(stepped)
+        assert simulated > 8 if fell_back else simulated == 8
+        assert simulated < 3000
+        assert _trace_rows([trace]) == _reference_run(ref, 3000)
+        _assert_same_network(net, ref)
