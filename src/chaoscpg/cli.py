@@ -2,7 +2,8 @@
 
 Every command writes into one output directory: a manifest.json carrying
 the resolved configuration, its hash and the seed, plus the data files.
-Identical invocations reproduce identical bytes; no timestamps are
+This module is the only writer of those files, so their formats live
+here.  Identical invocations reproduce identical bytes; no timestamps are
 embedded.  The default output root comes from CHAOSCPG_OUT (falling back
 to ./runs).
 """
@@ -18,15 +19,15 @@ import os
 import sys
 from pathlib import Path
 from statistics import mean, stdev
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
 from .core import (CpgParams, detect_period, lyapunov_estimate,
                    run_controlled)
 from .gait import MAX_TRACE_STEPS, STEP_RATE_HZ, gait_trace, render_gait
-from .learner import LearnerConfig, learn, plant_evaluator, sweep_beta, trace_to_csv, trace_to_json
+from .learner import LearnerConfig, learn, plant_evaluator, sweep_beta
 from .network import LegId, Morphology
-from .plant import PlantConfig, all_fours, load_config, write_eval_log
+from .plant import PlantConfig, all_fours, load_config
 from .scenarios import battery, search_space_size
 
 
@@ -48,14 +49,34 @@ def _out_dir(args) -> Path:
     return root
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _write_manifest(out: Path, command: str, doc: dict) -> List[str]:
+    """Write manifest.json; returns the header lines of the run's CSVs."""
     doc = dict(doc, command=command, version=__version__)
     h = config_hash(doc)
     doc["config_hash"] = h
-    with open(out / "manifest.json", "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "manifest.json", doc)
     return [f"config_hash={h}", f"seed={doc.get('seed')}"]
+
+
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence[str],
+               rows: Iterable[Iterable]) -> None:
+    """The one CSV layout of a run directory: a `# ` line per header
+    entry, the column row, then the data rows."""
+    with open(path, "w", newline="") as f:
+        f.writelines(f"# {line}\n" for line in header)
+        w = csv.writer(f)
+        w.writerow(columns)
+        w.writerows(rows)
+
+
+def _periods_label(periods) -> str:
+    """A period map as `L1=4 R2=5 ...`, legs in name order."""
+    return " ".join(f"{l.value}={p}" for l, p in sorted(
+        periods.items(), key=lambda kv: kv[0].value))
 
 
 def _parse_legs(spec: Optional[str]) -> List[LegId]:
@@ -87,7 +108,10 @@ def cmd_run_cpg(args) -> int:
            "uncontrolled": args.uncontrolled, "seed": args.seed,
            "detected_period": period, "lock_step": traj.lock_step}
     header = _write_manifest(out, "run-cpg", doc)
-    traj.to_csv(out / "trajectory.csv", header_lines=header)
+    # tolist() gives Python floats, which csv writes as their repr
+    columns = (traj.t, traj.x1, traj.x2, traj.c1, traj.c2)
+    _write_csv(out / "trajectory.csv", header, ["t", "x1", "x2", "c1", "c2"],
+               zip(*(c.tolist() for c in columns)))
     print(f"wrote {out / 'trajectory.csv'} (detected period: {period})")
     return 0
 
@@ -116,7 +140,9 @@ def cmd_gait(args) -> int:
         path.write_text(text)
     else:
         path = out / "gait.csv"
-        trace.to_csv(path, header_lines=header)
+        _write_csv(path, header, ["leg"] + [str(i) for i in range(trace.steps)],
+                   ([leg.value, *map(int, row)]
+                    for leg, row in zip(trace.legs, trace.stance)))
     print(f"wrote {path}")
     return 0
 
@@ -138,14 +164,33 @@ def cmd_learn(args) -> int:
            "projected_walltime_s": estimate_walltime(
                trace.total_evaluations, plant.window)}
     header = _write_manifest(out, "learn", doc)
-    trace_to_csv(trace, out / "trace.csv", plant.morphology.legs,
-                 header_lines=header)
-    trace_to_json(trace, out / "trace.json")
-    rows = [(":".join(sorted(l.value for l in disabled)),
-             " ".join(f"{l.value}={p}" for l, p in sorted(
-                 rec.periods.items(), key=lambda kv: kv[0].value)),
-             rec.seed, rec.deviation) for rec in trace.records]
-    write_eval_log(out / "evaluations.csv", rows, header_lines=header)
+    legs = plant.morphology.legs
+    # one row per trial; a disabled leg carries no period and shows '-'
+    _write_csv(out / "trace.csv", header,
+               ["trial"] + [l.value for l in legs]
+               + ["deviation_deg", "decision"],
+               ([rec.n] + [rec.periods.get(l, "-") for l in legs]
+                + [repr(float(rec.deviation)), rec.decision.value]
+                for rec in trace.records))
+    _write_json(out / "trace.json", {
+        "seed": trace.seed,
+        "disabled": doc["disabled"],
+        "initial": {l.value: p for l, p in trace.initial.items()},
+        "outcome": trace.outcome,
+        "total_evaluations": trace.total_evaluations,
+        "duplicate_skips": trace.duplicate_skips,
+        "exhausted": trace.exhausted,
+        "trials": [{"n": rec.n,
+                    "periods": {l.value: p for l, p in rec.periods.items()},
+                    "deviation_deg": rec.deviation,
+                    "decision": rec.decision.value}
+                   for rec in trace.records],
+    })
+    # the plant evaluations: scenario, periods, trial seed, deviation
+    _write_csv(out / "evaluations.csv", header,
+               ["disabled", "periods", "seed", "delta_phi_deg"],
+               ([":".join(doc["disabled"]), _periods_label(rec.periods), rec.seed,
+                 repr(float(rec.deviation))] for rec in trace.records))
     print(f"{trace.outcome} after {trace.total_evaluations} trials "
           f"(final deviation {trace.final.deviation:+.2f} deg)")
     return 0 if trace.converged else 1
@@ -176,19 +221,15 @@ def cmd_battery(args) -> int:
         if not converged:
             any_failed = True
         functional = [l.value for l in scenario.functional(plant)]
-        rows.append({
-            "disabled": "+".join(sorted(l.value for l in disabled)),
-            "functional": "+".join(functional),
-            "learned": (" ".join(
-                f"{l.value}={p}" for l, p in sorted(
-                    best.kept_periods().items(), key=lambda kv: kv[0].value))
-                if best else "none"),
-            "final_deviation_deg": (abs(best.final.deviation) if best
-                                    else float("nan")),
-            "mean_trials": mean(counts),
-            "sd_trials": stdev(counts) if len(counts) > 1 else 0.0,
-            "converged": f"{len(converged)}/{len(traces)}",
-        })
+        rows.append([
+            "+".join(sorted(l.value for l in disabled)),
+            "+".join(functional),
+            _periods_label(best.kept_periods()) if best else "none",
+            abs(best.final.deviation) if best else float("nan"),
+            mean(counts),
+            stdev(counts) if len(counts) > 1 else 0.0,
+            f"{len(converged)}/{len(traces)}",
+        ])
     doc = {"morphology": morphology.label, "repeats": args.repeats,
            "beta": args.beta, "e_req": args.e_req,
            "max_trials": args.max_trials, "seed": args.seed,
@@ -197,13 +238,9 @@ def cmd_battery(args) -> int:
            "seconds_per_trial": estimate_walltime(1, plant.window)}
     header = _write_manifest(out, "battery", doc)
     path = out / "battery.csv"
-    with open(path, "w", newline="") as f:
-        for line in header:
-            f.write(f"# {line}\n")
-        w = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
+    _write_csv(path, header,
+               ["disabled", "functional", "learned", "final_deviation_deg",
+                "mean_trials", "sd_trials", "converged"], rows)
     print(f"wrote {path} ({len(rows)} scenarios"
           f"{', some unconverged' if any_failed else ''})")
     return 0
@@ -226,13 +263,7 @@ def cmd_sweep_beta(args) -> int:
            "seed": args.seed}
     header = _write_manifest(out, "sweep-beta", doc)
     path = out / "sweep.csv"
-    with open(path, "w", newline="") as f:
-        for line in header:
-            f.write(f"# {line}\n")
-        w = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
+    _write_csv(path, header, list(rows[0]), (row.values() for row in rows))
     print(f"wrote {path}")
     return 0
 

@@ -19,7 +19,6 @@ residue of the replayed first neuron.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -30,6 +29,16 @@ import numpy as np
 #: periods that the gait layer accepts; other values are analysis-only
 GAIT_PERIODS = (1, 4, 5, 6, 8, 9)
 
+
+def _check_period(p: int) -> None:
+    """Refuse anything but an int in GAIT_PERIODS."""
+    # type(p) is int also keeps out floats such as 4.0 and bools
+    if type(p) is not int or p not in GAIT_PERIODS:
+        raise ValueError(
+            f"period {p!r} is not usable for locomotion; allowed: {GAIT_PERIODS}"
+            " (2 switches too fast, 3 and 7 have no stable pattern)")
+
+
 #: default initial activity used by runs that do not specify one
 DEFAULT_INIT = (0.1, 0.2)
 
@@ -38,6 +47,13 @@ CAPTURE_TOL = 0.15
 
 #: scan steps after which a lock is tried from the best shadowing seed seen
 FALLBACK_AT = 800
+
+#: Newton refinement of an orbit: residual to reach, iterations allowed
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX_ITER = 40
+
+#: free-map steps discarded before the Lyapunov estimate starts
+_LYAPUNOV_BURN_IN = 1000
 
 
 def _initial_state(init: Sequence[float]) -> tuple[float, float]:
@@ -135,8 +151,8 @@ def _cycle_jacobian(params: CpgParams, x1: float, x2: float,
     return x1, x2, m11, m12, m21, m22
 
 
-def find_orbit(params: CpgParams, p: int, seed_state: tuple[float, float],
-               tol: float = 1e-13, max_iter: int = 40) -> Optional[list[tuple[float, float]]]:
+def find_orbit(params: CpgParams, p: int,
+               seed_state: tuple[float, float]) -> Optional[list[tuple[float, float]]]:
     """Newton-refine a nearby period-p point of the free map.
 
     Returns the full orbit (p points, consecutive map images) or None when
@@ -144,10 +160,10 @@ def find_orbit(params: CpgParams, p: int, seed_state: tuple[float, float],
     prime period is a proper divisor of p.
     """
     y1, y2 = seed_state
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         g1, g2, m11, m12, m21, m22 = _cycle_jacobian(params, y1, y2, p)
         r1, r2 = g1 - y1, g2 - y2
-        if max(abs(r1), abs(r2)) < tol:
+        if max(abs(r1), abs(r2)) < _NEWTON_TOL:
             break
         # solve (M - I) d = -r
         a11, a12, a21, a22 = m11 - 1.0, m12, m21, m22 - 1.0
@@ -333,17 +349,6 @@ class Trajectory:
         for i in range(len(self)):
             yield self[i]
 
-    def to_csv(self, path, header_lines: Sequence[str] = ()) -> None:
-        with open(path, "w", newline="") as f:
-            for line in header_lines:
-                f.write(f"# {line}\n")
-            w = csv.writer(f)
-            w.writerow(["t", "x1", "x2", "c1", "c2"])
-            for i in range(len(self)):
-                w.writerow([int(self.t[i]), repr(float(self.x1[i])),
-                            repr(float(self.x2[i])), repr(float(self.c1[i])),
-                            repr(float(self.c2[i]))])
-
 
 def run_controlled(params: CpgParams, p: int, steps: int,
                    init: Sequence[float] = DEFAULT_INIT,
@@ -403,8 +408,7 @@ def detect_period(trace: Sequence[float], tol: float = 1e-6) -> Optional[int]:
 
 
 def lyapunov_estimate(params: CpgParams, steps: int = 100_000,
-                      init: tuple[float, float] = DEFAULT_INIT,
-                      burn_in: int = 1000) -> float:
+                      init: tuple[float, float] = DEFAULT_INIT) -> float:
     """Largest Lyapunov exponent of the free map (control off).
 
     Tangent-vector products of the step Jacobians with per-step
@@ -413,7 +417,7 @@ def lyapunov_estimate(params: CpgParams, steps: int = 100_000,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x1, x2 = _initial_state(init)
-    for _ in range(burn_in):
+    for _ in range(_LYAPUNOV_BURN_IN):
         x1, x2 = _free_step(params, x1, x2)
     v1, v2 = 1.0, 0.0
     acc = 0.0

@@ -9,11 +9,10 @@ the two alternating tripod groups {R1, R3, L2} and {R2, L1, L3}.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -74,28 +73,26 @@ class DelayConfig:
         return s
 
 
-def rhythm_cycle(p: int, expansion: int = CYCLE_EXPANSION,
-                 duty: Optional[Mapping[int, float]] = None) -> np.ndarray:
+def rhythm_cycle(p: int, expansion: int = CYCLE_EXPANSION) -> np.ndarray:
     """One stance-first cycle of the period-p wave (bool, length p*expansion)."""
-    duty = DUTY_FACTORS if duty is None else duty
-    if p not in duty:
+    if p not in DUTY_FACTORS:
         raise UnsupportedPeriodError(
             f"period {p} does not generate a proper walking gait")
     if expansion < 1:
         raise ValueError("expansion must be >= 1")
     cycle_len = p * expansion
-    n_stance = round(duty[p] * cycle_len)
+    n_stance = round(DUTY_FACTORS[p] * cycle_len)
     cyc = np.zeros(cycle_len, dtype=bool)
     cyc[:n_stance] = True
     return cyc
 
 
-def motor_rhythm(p: int, steps: int, expansion: int = CYCLE_EXPANSION,
-                 duty: Optional[Mapping[int, float]] = None) -> np.ndarray:
+def motor_rhythm(p: int, steps: int,
+                 expansion: int = CYCLE_EXPANSION) -> np.ndarray:
     """Periodic stance/swing wave of the given length."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    cyc = rhythm_cycle(p, expansion, duty)
+    cyc = rhythm_cycle(p, expansion)
     reps = math.ceil(steps / len(cyc))
     return np.tile(cyc, reps)[:steps]
 
@@ -106,7 +103,6 @@ class GaitTrace:
 
     legs: tuple
     stance: np.ndarray  # shape (n_legs, steps)
-    dt: float = 1.0 / STEP_RATE_HZ
 
     def __post_init__(self):
         if self.stance.ndim != 2 or self.stance.shape[0] != len(self.legs):
@@ -122,15 +118,6 @@ class GaitTrace:
     def duty_factors(self) -> Dict[LegId, float]:
         return {leg: float(self.stance[i].mean())
                 for i, leg in enumerate(self.legs)}
-
-    def to_csv(self, path, header_lines: Sequence[str] = ()) -> None:
-        with open(path, "w", newline="") as f:
-            for line in header_lines:
-                f.write(f"# {line}\n")
-            w = csv.writer(f)
-            w.writerow(["leg"] + [str(i) for i in range(self.steps)])
-            for i, leg in enumerate(self.legs):
-                w.writerow([leg.value] + [int(v) for v in self.stance[i]])
 
 
 def apply_delays(rhythms: Mapping[LegId, np.ndarray],
@@ -188,7 +175,8 @@ def _render_ascii(trace: GaitTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_svg(trace: GaitTrace, cell: int = 4, row_h: int = 14) -> str:
+def _render_svg(trace: GaitTrace) -> str:
+    cell, row_h = 4, 14  # pixels per step and per leg row
     width = trace.steps * cell + 40
     height = len(trace.legs) * row_h + 10
     parts = [

@@ -15,9 +15,7 @@ order, so a proposal replaces one digit.
 
 from __future__ import annotations
 
-import csv
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 from statistics import mean, stdev
@@ -258,50 +256,3 @@ def sweep_beta(evaluate: Evaluator, scenario: Scenario,
             "failure_rate": failures / runs,
         })
     return rows
-
-
-# ---------------------------------------------------------------------------
-# trace serialization
-
-
-def trace_to_csv(trace: LearningTrace, path, legs_order: Sequence[LegId],
-                 header_lines: Sequence[str] = ()) -> None:
-    """One row per evaluated trial; disabled legs are flagged with '-'."""
-    with open(path, "w", newline="") as f:
-        for line in header_lines:
-            f.write(f"# {line}\n")
-        w = csv.writer(f)
-        w.writerow(["trial"] + [leg.value for leg in legs_order]
-                   + ["deviation_deg", "decision"])
-        for rec in trace.records:
-            row = [rec.n]
-            for leg in legs_order:
-                row.append(rec.periods.get(leg, "-"))
-            row += [repr(float(rec.deviation)), rec.decision.value]
-            w.writerow(row)
-
-
-def trace_to_json(trace: LearningTrace, path=None) -> str:
-    doc = {
-        "seed": trace.seed,
-        "disabled": sorted(l.value for l in trace.scenario.disabled),
-        "initial": {l.value: p for l, p in trace.initial.items()},
-        "outcome": trace.outcome,
-        "total_evaluations": trace.total_evaluations,
-        "duplicate_skips": trace.duplicate_skips,
-        "exhausted": trace.exhausted,
-        "trials": [
-            {
-                "n": rec.n,
-                "periods": {l.value: p for l, p in rec.periods.items()},
-                "deviation_deg": rec.deviation,
-                "decision": rec.decision.value,
-            }
-            for rec in trace.records
-        ],
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as f:
-            f.write(text + "\n")
-    return text

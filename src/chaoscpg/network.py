@@ -9,7 +9,6 @@ client runs its own period controller and the legs oscillate independently.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from .core import (CpgOscillator, CpgParams, CpgState, DEFAULT_INIT,
-                   GAIT_PERIODS, _activations, sigmoid)
+                   _activations, _check_period, sigmoid)
 
 
 class LegId(str, enum.Enum):
@@ -64,15 +63,6 @@ class Morphology(enum.Enum):
 MASTER_LEG = LegId.R1
 
 
-def _check_period(p: int) -> int:
-    # type(p) is int also keeps out floats such as 4.0 and bools
-    if type(p) is not int or p not in GAIT_PERIODS:
-        raise ValueError(
-            f"period {p!r} is not usable for locomotion; allowed: {GAIT_PERIODS}"
-            " (2 switches too fast, 3 and 7 have no stable pattern)")
-    return p
-
-
 @dataclass
 class ClientCpg:
     osc: CpgOscillator
@@ -113,11 +103,18 @@ class CpgNetwork:
     def legs(self) -> tuple:
         return self.morphology.legs
 
+    def _leg(self, leg) -> LegId:
+        """leg (a LegId or its name) as a leg of this body, else ValueError."""
+        leg = LegId(leg)  # raises ValueError for anything that names no leg
+        if leg not in self.periods:
+            raise ValueError(f"{leg.value} is not a leg of {self.morphology.label}")
+        return leg
+
     def _oscillator(self, leg: LegId) -> CpgOscillator:
         return self.master if leg is MASTER_LEG else self.clients[leg].osc
 
     def state_of(self, leg: LegId) -> CpgState:
-        return self._oscillator(leg).state
+        return self._oscillator(self._leg(leg)).state
 
     def step(self) -> None:
         """Advance master first; clients read the master's fresh output."""
@@ -136,6 +133,7 @@ class CpgNetwork:
 
     def set_sync(self, leg: LegId, on: bool) -> None:
         """Toggle a client's sync gate; desync restarts its controller."""
+        leg = self._leg(leg)
         if leg is MASTER_LEG:
             raise ValueError("R1 is the master; it has no sync gate")
         client = self.clients[leg]
@@ -148,12 +146,9 @@ class CpgNetwork:
 
     def set_periods(self, assignment: Mapping[LegId, int]) -> None:
         """Assign per-leg periods; mismatched clients lose synchrony."""
-        # LegId(...) raises ValueError for anything that names no leg
-        assignment = {LegId(leg): p for leg, p in assignment.items()}
-        for leg, p in assignment.items():
+        assignment = {self._leg(leg): p for leg, p in assignment.items()}
+        for p in assignment.values():
             _check_period(p)
-            if leg not in self.periods:
-                raise ValueError(f"{leg} is not a leg of {self.morphology.label}")
         for leg, p in assignment.items():
             if leg is MASTER_LEG:
                 if p != self.master.p:
@@ -244,23 +239,3 @@ class NetworkTrace:
 
     def __len__(self) -> int:
         return len(self.x1[self.legs[0]])
-
-    def to_csv(self, path, header_lines=()) -> None:
-        cols = ["t"]
-        for leg in self.legs:
-            cols += [f"{leg.value}_x1", f"{leg.value}_x2"]
-            if leg in self.alpha:
-                cols.append(f"{leg.value}_alpha")
-        with open(path, "w", newline="") as f:
-            for line in header_lines:
-                f.write(f"# {line}\n")
-            w = csv.writer(f)
-            w.writerow(cols)
-            for k in range(len(self)):
-                row = [k]
-                for leg in self.legs:
-                    row += [repr(float(self.x1[leg][k])),
-                            repr(float(self.x2[leg][k]))]
-                    if leg in self.alpha:
-                        row.append(int(self.alpha[leg][k]))
-                w.writerow(row)

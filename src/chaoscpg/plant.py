@@ -20,15 +20,14 @@ starves while annealing escapes.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, Mapping, Optional
 
 import numpy as np
 
-from .core import GAIT_PERIODS
+from .core import _check_period
 from .gait import CYCLE_EXPANSION, DUTY_FACTORS, motor_rhythm
 from .network import LegId, Morphology
 
@@ -122,10 +121,8 @@ class Scenario:
             raise ValueError(
                 "periods must cover exactly the functional legs "
                 "(disabled legs carry no period)")
-        for leg, p in self.periods.items():
-            # type(p) is int also keeps out floats such as 4.0 and bools
-            if type(p) is not int or p not in GAIT_PERIODS:
-                raise ValueError(f"period {p} for {leg.value} is not a gait period")
+        for p in self.periods.values():
+            _check_period(p)
 
     def functional(self, cfg: PlantConfig) -> tuple:
         return tuple(l for l in cfg.morphology.legs if l not in self.disabled)
@@ -206,7 +203,7 @@ def all_fours(cfg: PlantConfig, disabled) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# config file and evaluation-log formats
+# config file format
 
 _SCALAR_FIELDS = ("thrust_gain", "falloff", "support_budget",
                   "load_per_disabled", "drag", "turn_gain", "noise")
@@ -256,15 +253,3 @@ def load_config(path) -> PlantConfig:
         raise ValueError(f"unknown config keys: {sorted(values)}")
     return PlantConfig(morphology=morphology,
                        geometry=geometry or None, **kwargs)
-
-
-def write_eval_log(path, rows: Sequence[tuple],
-                   header_lines: Sequence[str] = ()) -> None:
-    """CSV log of plant evaluations: scenario, periods, seed, deviation."""
-    with open(path, "w", newline="") as f:
-        for line in header_lines:
-            f.write(f"# {line}\n")
-        w = csv.writer(f)
-        w.writerow(["disabled", "periods", "seed", "delta_phi_deg"])
-        for disabled, periods, seed, dphi in rows:
-            w.writerow([disabled, periods, seed, repr(float(dphi))])

@@ -79,11 +79,25 @@ def test_learn_command_and_files(tmp_path):
         assert (out / name).exists()
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    _, a = run(tmp_path, "a", "learn", "--disable", "R1,R3", "--seed", "11")
-    _, b = run(tmp_path, "b", "learn", "--disable", "R1,R3", "--seed", "11")
-    for name in ("manifest.json", "trace.csv", "trace.json", "evaluations.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+@pytest.mark.parametrize("argv", [
+    ["run-cpg", "--p", "5", "--steps", "500"],
+    ["lyapunov", "--steps", "2000"],
+    ["gait", "--p", "5", "--format", "ascii"],
+    ["gait", "--p", "5", "--format", "svg"],
+    ["gait", "--p", "5", "--format", "csv"],
+    ["learn", "--disable", "R1,R3", "--seed", "11"],
+    ["battery", "--morphology", "quadruped", "--repeats", "2"],
+    ["sweep-beta", "--disable", "R1,R2", "--betas", "0,strict", "--runs", "2"],
+], ids=["run-cpg", "lyapunov", "gait-ascii", "gait-svg", "gait-csv", "learn",
+        "battery", "sweep-beta"])
+def test_rerun_is_byte_identical(tmp_path, argv):
+    _, a = run(tmp_path, "a", *argv)
+    _, b = run(tmp_path, "b", *argv)
+    names = sorted(p.name for p in a.iterdir())
+    assert "manifest.json" in names
+    assert sorted(p.name for p in b.iterdir()) == names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_battery_hexapod_rows(tmp_path):

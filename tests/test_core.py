@@ -113,13 +113,18 @@ def test_uncontrolled_run_has_zero_inputs_and_no_lock():
 
 
 def test_trajectory_csv_layout(tmp_path):
+    import json
+    from chaoscpg.cli import main
+    out = tmp_path / "cpg"
+    assert main(["--out", str(out), "run-cpg", "--p", "4", "--steps", "20"]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[:2] == [f"# config_hash={man['config_hash']}", "# seed=0"]
+    assert lines[2] == "t,x1,x2,c1,c2"
+    assert len(lines) == 3 + 21
     traj = run_controlled(P, 4, 20)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path, header_lines=["seed=0"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=0"
-    assert lines[1] == "t,x1,x2,c1,c2"
-    assert len(lines) == 2 + 21
+    assert lines[-1].split(",") == [str(traj.t[-1])] + [
+        repr(float(c[-1])) for c in (traj.x1, traj.x2, traj.c1, traj.c2)]
 
 
 def test_detect_period_basics():

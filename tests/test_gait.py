@@ -145,13 +145,18 @@ def test_render_tripod_has_two_patterns():
 
 
 def test_gait_csv(tmp_path):
+    from chaoscpg.cli import main
+    out = tmp_path / "gait"
+    assert main(["--out", str(out), "gait", "--p", "4", "--steps", "8",
+                 "--morphology", "quadruped", "--format", "csv"]) == 0
+    lines = (out / "gait.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_hash=") and lines[1] == "# seed=0"
+    assert lines[2] == "leg,0,1,2,3,4,5,6,7"
+    assert len(lines) == 3 + 4
     tr = gait_trace(Morphology.QUADRUPED, 4, steps=8)
-    path = tmp_path / "gait.csv"
-    tr.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("leg,0,1")
-    assert len(lines) == 5
-    assert set(lines[1].split(",")[1:]) <= {"0", "1"}
+    for line, leg in zip(lines[3:], tr.legs):
+        assert line.split(",") == [leg.value] + [str(int(v))
+                                                 for v in tr.leg(leg)]
 
 
 def test_gait_trace_rectangularity():

@@ -283,17 +283,18 @@ def test_memoised_evaluator_computes_each_combination_once(monkeypatch):
 
 
 def test_trace_serialization(tmp_path):
-    from chaoscpg.learner import trace_to_csv, trace_to_json
-    trace = learn(EVAL, all_fours(CFG, {LegId.R1}), LearnerConfig(seed=4))
-    csv_path = tmp_path / "trace.csv"
-    trace_to_csv(trace, csv_path, Morphology.HEXAPOD.legs,
-                 header_lines=["seed=4"])
-    lines = csv_path.read_text().splitlines()
-    assert lines[1] == "trial,R1,R2,R3,L1,L2,L3,deviation_deg,decision"
-    assert lines[2].split(",")[1] == "-"  # disabled leg flagged
-    assert len(lines) == 2 + len(trace.records)
-    doc = trace_to_json(trace, tmp_path / "trace.json")
     import json
-    parsed = json.loads(doc)
+    from chaoscpg.cli import main
+    out = tmp_path / "learn"
+    assert main(["--out", str(out), "learn", "--disable", "R1",
+                 "--seed", "4"]) == 0
+    trace = learn(EVAL, all_fours(CFG, {LegId.R1}), LearnerConfig(seed=4))
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_hash=") and lines[1] == "# seed=4"
+    assert lines[2] == "trial,R1,R2,R3,L1,L2,L3,deviation_deg,decision"
+    assert lines[3].split(",")[1] == "-"  # disabled leg flagged
+    assert len(lines) == 3 + len(trace.records)
+    parsed = json.loads((out / "trace.json").read_text())
     assert parsed["outcome"] == "converged"
     assert parsed["trials"][0]["decision"] == "kept"
+    assert len(parsed["trials"]) == len(trace.records)

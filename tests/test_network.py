@@ -191,19 +191,6 @@ def test_all_fours_behaves_like_single_oscillator():
             assert net.state_of(leg).x1 == x1
 
 
-def test_network_trace_csv(tmp_path):
-    net = CpgNetwork(seed=0, master_period=4)
-    trace = net.run(25)
-    path = tmp_path / "net.csv"
-    trace.to_csv(path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[0] == "t"
-    assert "R1_x1" in header and "R1_alpha" not in header
-    assert "L3_x1" in header and "L3_alpha" in header
-    assert len(lines) == 1 + 26
-
-
 def test_run_rejects_negative_steps():
     net = CpgNetwork(seed=0)
     with pytest.raises(ValueError):
@@ -226,6 +213,17 @@ def test_periods_and_leg_keys_are_validated():
     for bad in ("X9", "r1", 1, None):
         with pytest.raises(ValueError):
             CpgNetwork(seed=0).set_periods({bad: 5})
+    # set_sync and state_of take leg names as set_periods does
+    with pytest.raises(ValueError, match="master"):
+        CpgNetwork(seed=0).set_sync("R1", False)
+    with pytest.raises(ValueError):
+        CpgNetwork(seed=0).set_sync("X9", False)
+    with pytest.raises(ValueError):
+        CpgNetwork(Morphology.QUADRUPED, seed=0).set_sync(LegId.R3, False)
+    with pytest.raises(ValueError):
+        CpgNetwork(seed=0).state_of("X9")
+    net = CpgNetwork(seed=0)
+    assert net.state_of("R1") == net.state_of(LegId.R1) == net.master.state
     net = CpgNetwork(seed=0, master_period=4)
     net.set_periods({"R1": 5, "L2": 6})
     assert net.master.p == 5 and net.periods[LegId.R1] == 5

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from chaoscpg.network import LegId, Morphology
 from chaoscpg.plant import (PlantConfig, Scenario, all_fours, load_config,
-                            mirror, save_config, simulate_window,
-                            write_eval_log)
+                            mirror, save_config, simulate_window)
 
 CFG = PlantConfig()
 QCFG = PlantConfig(morphology=Morphology.QUADRUPED)
@@ -227,9 +226,14 @@ def test_stance_rhythm_cache_is_read_only():
 
 
 def test_eval_log(tmp_path):
-    path = tmp_path / "log.csv"
-    write_eval_log(path, [("R1", "R2=4", 7, 12.5)], header_lines=["seed=7"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=7"
-    assert lines[1] == "disabled,periods,seed,delta_phi_deg"
-    assert lines[2].startswith("R1,R2=4,7,")
+    import json
+    from chaoscpg.cli import main
+    out = tmp_path / "learn"
+    assert main(["--out", str(out), "learn", "--disable", "R1",
+                 "--seed", "7"]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    lines = (out / "evaluations.csv").read_text().splitlines()
+    assert lines[:2] == [f"# config_hash={man['config_hash']}", "# seed=7"]
+    assert lines[2] == "disabled,periods,seed,delta_phi_deg"
+    assert lines[3].startswith("R1,L1=4 L2=4 L3=4 R2=4 R3=4,")
+    assert len(lines) == 3 + man["total_evaluations"]
