@@ -27,7 +27,7 @@ from .core import (CpgParams, detect_period, lyapunov_estimate,
 from .gait import MAX_TRACE_STEPS, STEP_RATE_HZ, gait_trace, render_gait
 from .learner import LearnerConfig, learn, plant_evaluator, sweep_beta
 from .network import LegId, Morphology
-from .plant import PlantConfig, all_fours, load_config
+from .plant import PlantConfig, all_fours, config_items, load_config
 from .scenarios import battery, search_space_size
 
 
@@ -53,9 +53,16 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out: Path, command: str, doc: dict) -> List[str]:
-    """Write manifest.json; returns the header lines of the run's CSVs."""
+def _write_manifest(out: Path, command: str, doc: dict,
+                    plant: Optional[PlantConfig] = None) -> List[str]:
+    """Write manifest.json; returns the header lines of the run's CSVs.
+
+    A command that runs the plant passes its configuration, which the
+    manifest records under "plant" with the keys of the config file.
+    """
     doc = dict(doc, command=command, version=__version__)
+    if plant is not None:
+        doc["plant"] = config_items(plant)
     h = config_hash(doc)
     doc["config_hash"] = h
     _write_json(out / "manifest.json", doc)
@@ -82,7 +89,11 @@ def _periods_label(periods) -> str:
 def _parse_legs(spec: Optional[str]) -> List[LegId]:
     if not spec:
         return []
-    return [LegId(tok.strip().upper()) for tok in spec.split(",") if tok.strip()]
+    legs = [LegId(tok.strip().upper()) for tok in spec.split(",") if tok.strip()]
+    repeated = sorted({l.value for l in legs if legs.count(l) > 1})
+    if repeated:
+        raise ValueError(f"legs listed more than once: {','.join(repeated)}")
+    return legs
 
 
 def _plant_config(args) -> PlantConfig:
@@ -132,7 +143,7 @@ def cmd_gait(args) -> int:
     morphology = Morphology.from_label(args.morphology)
     trace = gait_trace(morphology, args.p, steps=args.steps or None)
     doc = {"p": args.p, "morphology": args.morphology,
-           "steps": trace.steps, "seed": args.seed}
+           "steps": trace.steps, "format": args.format, "seed": args.seed}
     header = _write_manifest(out, "gait", doc)
     if args.format in ("ascii", "svg"):
         text = render_gait(trace, args.format)
@@ -163,7 +174,7 @@ def cmd_learn(args) -> int:
            "total_evaluations": trace.total_evaluations,
            "projected_walltime_s": estimate_walltime(
                trace.total_evaluations, plant.window)}
-    header = _write_manifest(out, "learn", doc)
+    header = _write_manifest(out, "learn", doc, plant)
     legs = plant.morphology.legs
     # one row per trial; a disabled leg carries no period and shows '-'
     _write_csv(out / "trace.csv", header,
@@ -191,7 +202,8 @@ def cmd_learn(args) -> int:
                ["disabled", "periods", "seed", "delta_phi_deg"],
                ([":".join(doc["disabled"]), _periods_label(rec.periods), rec.seed,
                  repr(float(rec.deviation))] for rec in trace.records))
-    print(f"{trace.outcome} after {trace.total_evaluations} trials "
+    exhausted = ", search space exhausted" if trace.exhausted else ""
+    print(f"{trace.outcome} after {trace.total_evaluations} trials{exhausted} "
           f"(final deviation {trace.final.deviation:+.2f} deg)")
     return 0 if trace.converged else 1
 
@@ -236,7 +248,7 @@ def cmd_battery(args) -> int:
            "rows": len(rows),
            "search_space": search_space_size(morphology),
            "seconds_per_trial": estimate_walltime(1, plant.window)}
-    header = _write_manifest(out, "battery", doc)
+    header = _write_manifest(out, "battery", doc, plant)
     path = out / "battery.csv"
     _write_csv(path, header,
                ["disabled", "functional", "learned", "final_deviation_deg",
@@ -261,7 +273,7 @@ def cmd_sweep_beta(args) -> int:
            "betas": [str(b) for b in betas], "runs": args.runs,
            "e_req": args.e_req, "max_trials": args.max_trials,
            "seed": args.seed}
-    header = _write_manifest(out, "sweep-beta", doc)
+    header = _write_manifest(out, "sweep-beta", doc, plant)
     path = out / "sweep.csv"
     _write_csv(path, header, list(rows[0]), (row.values() for row in rows))
     print(f"wrote {path}")

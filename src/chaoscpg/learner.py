@@ -90,19 +90,67 @@ class LearningTrace:
         return dict(self.initial)
 
 
+class _Draws:
+    """The scalar stream of np.random.default_rng(seed), replayed in Python.
+
+    integers(n) and random() return exactly what the same calls on a
+    numpy Generator return, at a fraction of a scalar call's cost: the
+    64-bit PCG64 words come from numpy in bulk, chunk at a time, and
+    numpy's scalar algorithms are replayed on them.  random() is the top
+    53 bits of a word.  integers(n), for 1 <= n <= 2**32, is Lemire's
+    bounded method on 32-bit draws; a 32-bit draw takes the low half of a
+    fresh word and keeps the high half for the next 32-bit draw, which
+    random() leaves alone.  integers(1) is 0 and draws nothing.
+    """
+
+    def __init__(self, seed: int, chunk: int = 64):
+        bitgen = np.random.PCG64(seed)
+
+        def words():
+            while True:
+                yield from bitgen.random_raw(chunk).tolist()
+
+        self._word = words().__next__
+        self._half = None           # the kept high half of a word
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        w = self._word()
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            # reject the 2**32 % n low values that would bias the result
+            threshold = 2 ** 32 % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+
 def _propose(code: int, walked: bytearray, weights: Sequence[int],
-             rng: np.random.Generator) -> Tuple[int, int]:
+             rng) -> Tuple[int, int]:
     """The next unwalked code and the number of walked draws skipped.
 
     Each draw replaces the digit of one random leg (weight w) with a random
     period index; a draw that lands on a walked code is re-drawn from that
     code, so the proposal random-walks outward until it finds fresh
-    ground.  walked must hold at least one zero.
+    ground.  walked must hold at least one zero.  rng is a _Draws or a
+    numpy Generator; both give the same draws for the same seed.
     """
     skipped = 0
     while True:
-        w = weights[int(rng.integers(len(weights)))]
-        code += (int(rng.integers(5)) - code // w % 5) * w
+        w = weights[rng.integers(len(weights))]
+        code += (rng.integers(5) - code // w % 5) * w
         if not walked[code]:
             return code, skipped
         skipped += 1
@@ -156,13 +204,17 @@ def learn(evaluate: Evaluator, scenario: Scenario,
     The cost is the deviation magnitude; the sign is logged.  The session
     ends when the cost drops below e_req (possibly already at the first
     evaluation), at the trial cap or when every combination was walked.
+    A scenario without a functional leg has nothing to search and raises
+    ValueError.
     """
     start = scenario.periods
+    if not start:
+        raise ValueError("the scenario has no functional leg to learn on")
     bad = {l.value: p for l, p in start.items()
            if type(p) is not int or p not in PERIOD_CHOICES}
     if bad:
         raise ValueError(f"start periods {bad} are not ints in {PERIOD_CHOICES}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = _Draws(cfg.seed)
     # the RNG indexes legs in name order, so that order fixes the digits
     weight = {leg: 5 ** i
               for i, leg in enumerate(sorted(start, key=lambda l: l.value))}
@@ -176,7 +228,7 @@ def learn(evaluate: Evaluator, scenario: Scenario,
 
     def run_plant(code: int) -> Tuple[PeriodMap, int, float]:
         periods = {l: PERIOD_CHOICES[code // w % 5] for l, w in weight.items()}
-        trial_seed = int(rng.integers(2 ** 31))
+        trial_seed = rng.integers(2 ** 31)
         return periods, trial_seed, evaluate(
             Scenario(scenario.disabled, periods), trial_seed)
 
@@ -200,7 +252,7 @@ def learn(evaluate: Evaluator, scenario: Scenario,
         periods, trial_seed, dev = run_plant(candidate)
         trace.total_evaluations += 1
         delta_e = abs(dev) - cost_current
-        # random() is uniform(0, 1) bit for bit, at a fifth of the cost
+        # numpy's random() draw: uniform(0, 1) bit for bit, and cheaper
         if accept(delta_e, cfg.beta, rng.random()):
             decision = (Decision.KEPT if delta_e < 0
                         else Decision.ACCEPTED_WORSE)

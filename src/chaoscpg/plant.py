@@ -210,18 +210,27 @@ _SCALAR_FIELDS = ("thrust_gain", "falloff", "support_budget",
 _INT_FIELDS = ("window", "expansion")
 
 
+def config_items(cfg: PlantConfig) -> Dict[str, object]:
+    """The keys and values of the config file in file order; a lever
+    value is its (lateral, longitudinal) pair."""
+    items: Dict[str, object] = {"morphology": cfg.morphology.label}
+    for name in _SCALAR_FIELDS + _INT_FIELDS:
+        items[name] = getattr(cfg, name)
+    for leg in cfg.morphology.legs:
+        items[f"lever.{leg.value}"] = tuple(cfg.geometry[leg])
+    return items
+
+
 def save_config(cfg: PlantConfig, path) -> None:
     """Write the flat key = value form (documented in the README)."""
     with open(path, "w") as f:
         f.write("# surrogate plant configuration\n")
-        f.write(f"morphology = {cfg.morphology.label}\n")
-        for name in _SCALAR_FIELDS:
-            f.write(f"{name} = {getattr(cfg, name)!r}\n")
-        for name in _INT_FIELDS:
-            f.write(f"{name} = {getattr(cfg, name)}\n")
-        for leg in cfg.morphology.legs:
-            lat, lon = cfg.geometry[leg]
-            f.write(f"lever.{leg.value} = {lat!r} {lon!r}\n")
+        for key, value in config_items(cfg).items():
+            if isinstance(value, tuple):
+                value = " ".join(map(repr, value))
+            elif not isinstance(value, str):
+                value = repr(value)
+            f.write(f"{key} = {value}\n")
 
 
 def load_config(path) -> PlantConfig:

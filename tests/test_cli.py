@@ -166,11 +166,17 @@ def test_bad_input_gives_error_record(tmp_path, capsys):
     (["gait", "--p", "4", "--steps", str(MAX_TRACE_STEPS + 1)], None,
      "steps"),
     (["gait", "--p", "4", "--steps", "-5"], None, "steps"),
+    # a repeated leg would give one run two manifests and config hashes
+    (["learn", "--disable", "R1,R1"], None, "more than once"),
+    (["sweep-beta", "--disable", "r1,R1", "--runs", "1"], None,
+     "more than once"),
+    (["learn", "--disable", "L1,L2,L3,R1,R2,R3"], None, "no functional leg"),
 ], ids=["init-one-value", "repeats-0", "max-trials-0", "beta-nan",
         "e-req-nan", "expansion-0", "negative-gain", "negative-noise",
         "nan-gain", "morphology-mismatch", "lyapunov-init-zero",
         "lyapunov-init-one-value", "lyapunov-init-nan", "gait-steps-over-max",
-        "gait-steps-negative"])
+        "gait-steps-negative", "learn-leg-twice", "sweep-leg-twice",
+        "learn-no-functional-leg"])
 def test_bad_input_is_rejected_with_error_record(tmp_path, capsys, argv,
                                                  plant_line, fragment):
     if plant_line is not None:
@@ -189,6 +195,39 @@ def test_plant_config_flag(tmp_path):
     code, out = run(tmp_path, "pc", "learn", "--disable", "R1",
                     "--plant-config", str(cfgfile), "--seed", "0")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "--disable", "R1"],
+    ["battery", "--repeats", "1"],
+    ["sweep-beta", "--disable", "R1", "--betas", "0.5", "--runs", "1"],
+], ids=["learn", "battery", "sweep-beta"])
+def test_manifest_records_plant_config(tmp_path, argv):
+    from chaoscpg.plant import PlantConfig, config_items, save_config
+    cfgfile = tmp_path / "noisy.cfg"
+    save_config(PlantConfig(noise=0.7), cfgfile)
+    _, plain = run(tmp_path, "plain", *argv)
+    _, noisy = run(tmp_path, "noisy", *argv, "--plant-config", str(cfgfile))
+    a, b = read_manifest(plain), read_manifest(noisy)
+    assert a["plant"] == json.loads(json.dumps(config_items(PlantConfig())))
+    assert b["plant"]["noise"] == 0.7
+    assert a["config_hash"] != b["config_hash"]
+
+
+def test_gait_manifest_records_format(tmp_path):
+    hashes = set()
+    for fmt in ("ascii", "svg", "csv"):
+        _, out = run(tmp_path, fmt, "gait", "--p", "4", "--format", fmt)
+        assert read_manifest(out)["format"] == fmt
+        hashes.add(read_manifest(out)["config_hash"])
+    assert len(hashes) == 3
+
+
+def test_learn_reports_exhausted_search_space(tmp_path, capsys):
+    code, _ = run(tmp_path, "ex", "learn", "--disable", "L1,L2,L3,R1,R2",
+                  "--e-req", "1e-9")
+    assert code == 1
+    assert "search space exhausted" in capsys.readouterr().out
 
 
 def test_evaluation_log_reproduces_noisy_windows(tmp_path):

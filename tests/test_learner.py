@@ -115,6 +115,79 @@ def test_propose_exhausted_space(monkeypatch):
         assert len(calls) == 5 ** n - 1
 
 
+# n = 1 draws nothing; 2**31 is the trial seed; n below 2**32 with a large
+# 2**32 % n often reaches the rejection loop
+DRAW_BOUNDS = st.one_of(st.sampled_from([1, 2, 5, 6, 2 ** 31]),
+                        st.integers(1, 2 ** 32 - 1),
+                        st.integers(2 ** 31, 2 ** 32 - 1))
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 64), chunk=st.integers(1, 70),
+       calls=st.lists(st.one_of(st.none(), DRAW_BOUNDS), max_size=80))
+def test_draws_replay_numpy_scalar_stream(seed, chunk, calls):
+    # None stands for a random() call, n for integers(n)
+    draws = learner._Draws(seed, chunk=chunk)
+    rng = np.random.default_rng(seed)
+    for n in calls:
+        if n is None:
+            assert bits(draws.random()) == bits(rng.random())
+        else:
+            assert draws.integers(n) == rng.integers(n)
+    # both streams end at the same word and the same kept half
+    assert draws.integers(2 ** 31) == rng.integers(2 ** 31)
+    assert bits(draws.random()) == bits(rng.random())
+
+
+def test_draws_rejection_loop_matches_numpy():
+    # 2**32 % n is 2**31 - 1, so about half of all 32-bit draws are rejected
+    n = 2 ** 31 + 1
+    draws = learner._Draws(12, chunk=7)
+    uint32 = draws._uint32
+    used = []
+
+    def counted():
+        used.append(1)
+        return uint32()
+
+    draws._uint32 = counted
+    rng = np.random.default_rng(12)
+    assert [draws.integers(n) for _ in range(300)] == \
+           [int(rng.integers(n)) for _ in range(300)]
+    assert len(used) > 400
+
+
+def _session(trace):
+    return ([(r.n, r.periods, bits(r.deviation), r.decision, r.seed)
+             for r in trace.records],
+            trace.total_evaluations, trace.duplicate_skips, trace.exhausted,
+            trace.outcome)
+
+
+@pytest.mark.parametrize("morphology", list(Morphology), ids=lambda m: m.label)
+def test_learn_draws_match_numpy_generator(monkeypatch, morphology):
+    # learn on the replayed stream walks exactly as on numpy's Generator,
+    # for every number of functional legs: one leg draws integers(1)
+    cfg = PlantConfig(morphology=morphology)
+    evaluate = plant_evaluator(cfg)
+    legs = morphology.legs
+    sessions = 0
+    for n in range(1, len(legs) + 1):
+        for functional in dict.fromkeys((legs[:n], legs[-n:])):
+            scenario = all_fours(cfg, set(legs) - set(functional))
+            for beta, seed, e_req in itertools.product(
+                    (0.0, 0.5, math.inf), (0, 5, 7919 * 3 + 26), (8.0, 1e-9)):
+                lcfg = LearnerConfig(beta=beta, e_req=e_req, max_trials=60,
+                                     seed=seed)
+                got = learn(evaluate, scenario, lcfg)
+                with monkeypatch.context() as m:
+                    m.setattr(learner, "_Draws", np.random.default_rng)
+                    want = learn(evaluate, scenario, lcfg)
+                assert _session(got) == _session(want), (n, functional, lcfg)
+                sessions += 1
+    assert sessions == 18 * (2 * len(legs) - 1)
+
+
 def test_learn_converges_and_obeys_bookkeeping():
     for seed in range(30):
         trace = learn(EVAL, all_fours(CFG, {LegId.R1}),
