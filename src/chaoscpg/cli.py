@@ -53,16 +53,9 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out: Path, command: str, doc: dict,
-                    plant: Optional[PlantConfig] = None) -> List[str]:
-    """Write manifest.json; returns the header lines of the run's CSVs.
-
-    A command that runs the plant passes its configuration, which the
-    manifest records under "plant" with the keys of the config file.
-    """
+def _write_manifest(out: Path, command: str, doc: dict) -> List[str]:
+    """Write manifest.json; returns the header lines of the run's CSVs."""
     doc = dict(doc, command=command, version=__version__)
-    if plant is not None:
-        doc["plant"] = config_items(plant)
     h = config_hash(doc)
     doc["config_hash"] = h
     _write_json(out / "manifest.json", doc)
@@ -173,8 +166,9 @@ def cmd_learn(args) -> int:
            "outcome": trace.outcome,
            "total_evaluations": trace.total_evaluations,
            "projected_walltime_s": estimate_walltime(
-               trace.total_evaluations, plant.window)}
-    header = _write_manifest(out, "learn", doc, plant)
+               trace.total_evaluations, plant.window),
+           "plant": config_items(plant)}
+    header = _write_manifest(out, "learn", doc)
     legs = plant.morphology.legs
     # one row per trial; a disabled leg carries no period and shows '-'
     _write_csv(out / "trace.csv", header,
@@ -247,8 +241,9 @@ def cmd_battery(args) -> int:
            "max_trials": args.max_trials, "seed": args.seed,
            "rows": len(rows),
            "search_space": search_space_size(morphology),
-           "seconds_per_trial": estimate_walltime(1, plant.window)}
-    header = _write_manifest(out, "battery", doc, plant)
+           "seconds_per_trial": estimate_walltime(1, plant.window),
+           "plant": config_items(plant)}
+    header = _write_manifest(out, "battery", doc)
     path = out / "battery.csv"
     _write_csv(path, header,
                ["disabled", "functional", "learned", "final_deviation_deg",
@@ -272,8 +267,8 @@ def cmd_sweep_beta(args) -> int:
            "disabled": sorted(l.value for l in disabled),
            "betas": [str(b) for b in betas], "runs": args.runs,
            "e_req": args.e_req, "max_trials": args.max_trials,
-           "seed": args.seed}
-    header = _write_manifest(out, "sweep-beta", doc, plant)
+           "seed": args.seed, "plant": config_items(plant)}
+    header = _write_manifest(out, "sweep-beta", doc)
     path = out / "sweep.csv"
     _write_csv(path, header, list(rows[0]), (row.values() for row in rows))
     print(f"wrote {path}")

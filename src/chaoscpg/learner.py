@@ -95,7 +95,7 @@ class _Draws:
 
     integers(n) and random() return exactly what the same calls on a
     numpy Generator return, at a fraction of a scalar call's cost: the
-    64-bit PCG64 words come from numpy in bulk, chunk at a time, and
+    64-bit PCG64 words come from numpy in bulk, 64 at a time, and
     numpy's scalar algorithms are replayed on them.  random() is the top
     53 bits of a word.  integers(n), for 1 <= n <= 2**32, is Lemire's
     bounded method on 32-bit draws; a 32-bit draw takes the low half of a
@@ -103,12 +103,12 @@ class _Draws:
     random() leaves alone.  integers(1) is 0 and draws nothing.
     """
 
-    def __init__(self, seed: int, chunk: int = 64):
+    def __init__(self, seed: int):
         bitgen = np.random.PCG64(seed)
 
         def words():
             while True:
-                yield from bitgen.random_raw(chunk).tolist()
+                yield from bitgen.random_raw(64).tolist()
 
         self._word = words().__next__
         self._half = None           # the kept high half of a word

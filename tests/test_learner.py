@@ -123,13 +123,14 @@ DRAW_BOUNDS = st.one_of(st.sampled_from([1, 2, 5, 6, 2 ** 31]),
 
 
 @settings(max_examples=200)
-@given(seed=st.integers(0, 2 ** 64), chunk=st.integers(1, 70),
+@given(seed=st.integers(0, 2 ** 64), prefix=st.integers(0, 130),
        calls=st.lists(st.one_of(st.none(), DRAW_BOUNDS), max_size=80))
-def test_draws_replay_numpy_scalar_stream(seed, chunk, calls):
-    # None stands for a random() call, n for integers(n)
-    draws = learner._Draws(seed, chunk=chunk)
+def test_draws_replay_numpy_scalar_stream(seed, prefix, calls):
+    # None stands for a random() call, n for integers(n); the prefix of
+    # random() calls places the calls anywhere across the 64-word refills
+    draws = learner._Draws(seed)
     rng = np.random.default_rng(seed)
-    for n in calls:
+    for n in [None] * prefix + calls:
         if n is None:
             assert bits(draws.random()) == bits(rng.random())
         else:
@@ -142,7 +143,7 @@ def test_draws_replay_numpy_scalar_stream(seed, chunk, calls):
 def test_draws_rejection_loop_matches_numpy():
     # 2**32 % n is 2**31 - 1, so about half of all 32-bit draws are rejected
     n = 2 ** 31 + 1
-    draws = learner._Draws(12, chunk=7)
+    draws = learner._Draws(12)
     uint32 = draws._uint32
     used = []
 
@@ -154,7 +155,7 @@ def test_draws_rejection_loop_matches_numpy():
     rng = np.random.default_rng(12)
     assert [draws.integers(n) for _ in range(300)] == \
            [int(rng.integers(n)) for _ in range(300)]
-    assert len(used) > 400
+    assert len(used) > 400     # more than three 64-word refills
 
 
 def _session(trace):
@@ -292,7 +293,7 @@ def test_sweep_beta_strict_greedy_label():
     assert rows[0]["label"] == "annealing"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_memoised_evaluator_is_exact(data):
     legs = Morphology.HEXAPOD.legs

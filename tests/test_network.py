@@ -288,7 +288,7 @@ def _hyper_period(net):
     return math.lcm(*(osc.p for osc in movers))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.data())
 def test_run_matches_plain_stepping(data):
     morphology = data.draw(st.sampled_from(list(Morphology)))

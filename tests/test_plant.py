@@ -159,7 +159,7 @@ def test_quadruped_defaults_calibrated():
         assert (d > 0) == (leg.side == "R")
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_mirror_antisymmetry_property(seed):
     rng = np.random.default_rng(seed)
@@ -167,7 +167,7 @@ def test_mirror_antisymmetry_property(seed):
     assert dev(CFG, mirror(s)) == -dev(CFG, s)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_symmetry_invariants_hold_for_any_key_order(data):
     morphology = data.draw(st.sampled_from(list(Morphology)))
