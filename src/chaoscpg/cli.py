@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -196,8 +197,7 @@ def cmd_learn(args) -> int:
                ["disabled", "periods", "seed", "delta_phi_deg"],
                ([":".join(doc["disabled"]), _periods_label(rec.periods), rec.seed,
                  repr(float(rec.deviation))] for rec in trace.records))
-    exhausted = ", search space exhausted" if trace.exhausted else ""
-    print(f"{trace.outcome} after {trace.total_evaluations} trials{exhausted} "
+    print(f"{trace.outcome} after {trace.total_evaluations} trials "
           f"(final deviation {trace.final.deviation:+.2f} deg)")
     return 0 if trace.converged else 1
 
@@ -278,7 +278,10 @@ def cmd_sweep_beta(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, and building it costs far more than a parse."""
     ap = argparse.ArgumentParser(
         prog="chaoscpg",
         description="chaotic-oscillator gait experiments and leg-failure learning")

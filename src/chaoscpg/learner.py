@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .core import _check_period
 from .network import LegId
 from .plant import PlantConfig, Scenario, simulate_window
 
@@ -68,15 +69,20 @@ class LearningTrace:
     scenario: Scenario
     initial: PeriodMap
     records: List[TrialRecord] = field(default_factory=list)
-    outcome: str = "trial-cap-reached"   # or "converged"
+    # or "converged", or "search-space-exhausted" when every combination
+    # was walked below the trial cap
+    outcome: str = "trial-cap-reached"
     total_evaluations: int = 0
     duplicate_skips: int = 0
-    exhausted: bool = False
     seed: int = 0
 
     @property
     def converged(self) -> bool:
         return self.outcome == "converged"
+
+    @property
+    def exhausted(self) -> bool:
+        return self.outcome == "search-space-exhausted"
 
     @property
     def final(self) -> TrialRecord:
@@ -174,23 +180,35 @@ Evaluator = Callable[[Scenario, int], float]
 def plant_evaluator(cfg: PlantConfig) -> Evaluator:
     """simulate_window's deviation, computed once per distinct input.
 
-    A window is a pure function of the period map (whose legs fix the
-    disabled set once the scenario is valid), and of the trial seed only
-    when the plant is noisy, so the evaluator validates each scenario and
-    remembers each deviation under that key.  The memo lives in the
-    closure: each evaluator, and so each command, pays for its own windows.
+    A window is a pure function of the scenario, and of the trial seed
+    only when the plant is noisy, so the evaluator remembers each
+    deviation under the disabled set, the periods in morphology order,
+    the number of periods and that seed.  A new key runs simulate_window,
+    which validates the scenario.  A remembered key was valid when it was
+    stored: the same disabled set, the same period count and equal values
+    for every leg leave only a non-int period (4.0 == 4, True == 1) to
+    tell the scenario apart, so a hit checks just that.  The memo lives in
+    the closure: each evaluator, and so each command, pays for its own
+    windows.
     """
     legs = cfg.morphology.legs
     memo: Dict[tuple, float] = {}
 
     def evaluate(scenario: Scenario, seed: int) -> float:
-        scenario.validate(cfg)
-        key = (tuple(map(scenario.periods.get, legs)),
-               seed if cfg.noise else None)
-        dev = memo.get(key)
+        periods = scenario.periods
+        key = (scenario.disabled, tuple(map(periods.get, legs)),
+               len(periods), seed if cfg.noise else None)
+        try:
+            dev = memo.get(key)
+        except TypeError:       # an unhashable period; validation rejects it
+            dev = None
         if dev is None:
             dev = memo[key] = simulate_window(cfg, scenario,
                                               seed=seed).delta_phi
+        else:
+            for p in periods.values():
+                if type(p) is not int:
+                    _check_period(p)    # raises its usual error
         return dev
     return evaluate
 
@@ -243,7 +261,7 @@ def learn(evaluate: Evaluator, scenario: Scenario,
 
     while trace.total_evaluations < cfg.max_trials:
         if trace.total_evaluations == len(walked):
-            trace.exhausted = True
+            trace.outcome = "search-space-exhausted"
             break
         candidate, skipped = _propose(code, walked, weights, rng)
         walked[candidate] = 1

@@ -152,6 +152,26 @@ def _stance_rhythm(p: int, steps: int, expansion: int) -> np.ndarray:
     return rhythm
 
 
+@functools.lru_cache(maxsize=128)
+def _capped_side(legs: tuple, window: int, expansion: int,
+                 cap: float) -> np.ndarray:
+    """One body side's per-step thrust, capped; built once, shared read-only.
+
+    legs holds the side's (lever * stance force, period) pairs front to
+    hind; their forces are added in that order from zero, so the result
+    is a function of the arguments alone and every window with the same
+    side reuses it.  128 entries hold nearly every side one scenario
+    needs; a larger one would serve more of the hexapod battery's sides
+    but hold more resident memory.
+    """
+    thrust = np.zeros(window)
+    for force, p in legs:
+        thrust = thrust + force * _stance_rhythm(p, window, expansion)
+    capped = np.minimum(thrust, cap)
+    capped.setflags(write=False)
+    return capped
+
+
 def simulate_window(cfg: PlantConfig, scenario: Scenario,
                     seed: int = 0) -> DeviationSample:
     """Deviation accumulated over one evaluation window.
@@ -162,10 +182,10 @@ def simulate_window(cfg: PlantConfig, scenario: Scenario,
     """
     scenario.validate(cfg)
     w = cfg.window
-    # per-side sums, indexed by (lateral > 0): 0 is left, 1 is right.  Both
-    # sides add their legs front to hind, whatever the key order of the
+    # per-side legs, indexed by (lateral > 0): 0 is left, 1 is right.  Both
+    # sides list their legs front to hind, whatever the key order of the
     # period map, so a mirrored scenario swaps the sums bit for bit.
-    thrust = [np.zeros(w), np.zeros(w)]
+    sides = ([], [])
     drag_lever = [0.0, 0.0]
     for leg in cfg.morphology.legs:
         lat = cfg.geometry[leg][0]
@@ -174,12 +194,13 @@ def simulate_window(cfg: PlantConfig, scenario: Scenario,
             drag_lever[right] += abs(lat)
         else:
             p = scenario.periods[leg]
-            rhythm = _stance_rhythm(p, w, cfg.expansion)
-            force = abs(lat) * cfg.stance_force(p) * rhythm
-            thrust[right] = thrust[right] + force
-    cap = max(cfg.support_budget
-              - cfg.load_per_disabled * len(scenario.disabled), 0.0)
-    yaw = np.minimum(thrust[0], cap) - np.minimum(thrust[1], cap)
+            sides[right].append((abs(lat) * cfg.stance_force(p), p))
+    # 0.0 first: max keeps it against a -0.0, so a zero cap is always +0.0
+    # and the cache never hands a -0.0 side to a +0.0 key
+    cap = max(0.0, cfg.support_budget
+              - cfg.load_per_disabled * len(scenario.disabled))
+    yaw = (_capped_side(tuple(sides[0]), w, cfg.expansion, cap)
+           - _capped_side(tuple(sides[1]), w, cfg.expansion, cap))
     drag_torque = cfg.drag * (drag_lever[1] - drag_lever[0])
     delta = cfg.turn_gain * (float(yaw.sum()) + drag_torque * w)
     if cfg.noise:

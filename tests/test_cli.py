@@ -224,10 +224,21 @@ def test_gait_manifest_records_format(tmp_path):
 
 
 def test_learn_reports_exhausted_search_space(tmp_path, capsys):
-    code, _ = run(tmp_path, "ex", "learn", "--disable", "L1,L2,L3,R1,R2",
-                  "--e-req", "1e-9")
+    code, out = run(tmp_path, "ex", "learn", "--disable", "L1,L2,L3,R1,R2",
+                    "--e-req", "1e-9")
     assert code == 1
-    assert "search space exhausted" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith(
+        "search-space-exhausted after 5 trials ")
+    assert read_manifest(out)["outcome"] == "search-space-exhausted"
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["outcome"] == "search-space-exhausted"
+    assert trace["exhausted"] is True
+    # a cap that ends the session first keeps the cap's outcome
+    code, out = run(tmp_path, "cap", "learn", "--disable", "L1,L2,L3,R1",
+                    "--e-req", "1e-9", "--max-trials", "10")
+    assert code == 1
+    assert read_manifest(out)["outcome"] == "trial-cap-reached"
+    assert json.loads((out / "trace.json").read_text())["exhausted"] is False
 
 
 def test_evaluation_log_reproduces_noisy_windows(tmp_path):

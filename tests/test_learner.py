@@ -235,7 +235,7 @@ def test_learn_exhausts_tiny_space(functional):
     trace = learn(EVAL, all_fours(CFG, disabled),
                   LearnerConfig(seed=1, e_req=1e-9))
     assert trace.exhausted
-    assert trace.outcome == "trial-cap-reached"
+    assert trace.outcome == "search-space-exhausted"
     # the whole 5^n space, every combination walked exactly once
     walked = [key(r.periods) for r in trace.records]
     assert trace.total_evaluations == len(walked) == 5 ** len(functional)
@@ -322,6 +322,50 @@ def test_memoised_evaluator_is_exact(data):
             for bad in (float(periods[leg]), True):
                 with pytest.raises(ValueError):
                     evaluate(Scenario(disabled, {**periods, leg: bad}), seed)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+def test_remembered_combination_still_rejects_invalid_scenarios(noise,
+                                                               monkeypatch):
+    windows = []
+
+    def counted_window(*args, **kwargs):
+        windows.append(args)
+        return simulate_window(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "simulate_window", counted_window)
+    for morphology, disabled in ((Morphology.QUADRUPED, {LegId.L2}),
+                                 (Morphology.HEXAPOD, {LegId.R1, LegId.L3})):
+        cfg = PlantConfig(morphology=morphology, noise=noise)
+        evaluate = plant_evaluator(cfg)
+        leg = LegId.R2
+        good = Scenario(disabled, {l: 1 if l is leg else 4
+                                   for l in morphology.legs
+                                   if l not in disabled})
+        want = bits(evaluate(good, 3))
+        windows.clear()
+        # every bad map below gives the remembered period to each leg of
+        # the morphology.  4.0, 1.0 and True equal remembered ints, so
+        # those maps are memo hits; the others are keyed apart by their
+        # disabled set or period count and reach simulate_window
+        hits = [Scenario(disabled, {**good.periods, LegId.L1: 4.0}),
+                Scenario(disabled, {**good.periods, leg: 1.0}),
+                Scenario(disabled, {**good.periods, leg: True})]
+        misses = [Scenario(disabled | {leg}, good.periods),
+                  Scenario(disabled - {next(iter(disabled))}, good.periods),
+                  Scenario(disabled, {**good.periods, leg: [1]})]
+        if morphology is Morphology.QUADRUPED:
+            # R3 is no quadruped leg, so the map has one period too many
+            misses.append(Scenario(disabled, {**good.periods, LegId.R3: 4}))
+        for s in hits:
+            with pytest.raises(ValueError, match="not usable"):
+                evaluate(s, 3)
+        assert windows == []
+        for s in misses:
+            with pytest.raises(ValueError):
+                evaluate(s, 3)
+        assert len(windows) == len(misses)
+        assert bits(evaluate(good, 3)) == want
 
 
 def test_memoised_evaluator_computes_each_combination_once(monkeypatch):

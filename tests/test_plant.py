@@ -1,13 +1,18 @@
 """Surrogate plant: symmetry, calibration and config handling."""
 
+import dataclasses
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoscpg import plant
+from chaoscpg.core import GAIT_PERIODS
+from chaoscpg.gait import motor_rhythm
 from chaoscpg.network import LegId, Morphology
 from chaoscpg.plant import (PlantConfig, Scenario, all_fours, load_config,
                             mirror, save_config, simulate_window)
@@ -237,3 +242,90 @@ def test_eval_log(tmp_path):
     assert lines[2] == "disabled,periods,seed,delta_phi_deg"
     assert lines[3].startswith("R1,L1=4 L2=4 L3=4 R2=4 R3=4,")
     assert len(lines) == 3 + man["total_evaluations"]
+
+
+def reference_window(cfg, scenario, seed):
+    """The window formula written out without any cache: fresh rhythms,
+    each side's forces added front to hind from zero, then capped."""
+    scenario.validate(cfg)
+    w = cfg.window
+    thrust = [np.zeros(w), np.zeros(w)]
+    drag_lever = [0.0, 0.0]
+    for leg in cfg.morphology.legs:
+        lat = cfg.geometry[leg][0]
+        right = lat > 0
+        if leg in scenario.disabled:
+            drag_lever[right] += abs(lat)
+        else:
+            p = scenario.periods[leg]
+            force = (abs(lat) * cfg.stance_force(p)
+                     * motor_rhythm(p, w, cfg.expansion))
+            thrust[right] = thrust[right] + force
+    cap = max(cfg.support_budget
+              - cfg.load_per_disabled * len(scenario.disabled), 0.0)
+    yaw = np.minimum(thrust[0], cap) - np.minimum(thrust[1], cap)
+    drag_torque = cfg.drag * (drag_lever[1] - drag_lever[0])
+    delta = cfg.turn_gain * (float(yaw.sum()) + drag_torque * w)
+    if cfg.noise:
+        delta += cfg.noise * float(np.random.default_rng(seed).standard_normal())
+    return delta
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_cached_sides_match_the_uncached_formula_bit_for_bit(data):
+    morphology = data.draw(st.sampled_from(list(Morphology)))
+    geometry = {}
+    for leg in morphology.legs:
+        if leg.side == "R":
+            # an irrational factor keeps the forces inexact, so the order
+            # of the per-side sum shows in the low bits
+            lever = data.draw(st.floats(0.25, 2.0)) * math.sqrt(2.0)
+            geometry[leg] = (lever, 0.0)
+            geometry[leg.mirrored] = (-lever, 0.0)
+    cfg = PlantConfig(
+        morphology=morphology, geometry=geometry,
+        window=data.draw(st.integers(1, 400)),
+        expansion=data.draw(st.integers(1, 12)),
+        thrust_gain=data.draw(st.floats(0.1, 3.0)),
+        falloff=data.draw(st.floats(0.0, 3.0)),
+        # the cap binds always (zero, either sign), often or never
+        support_budget=data.draw(st.one_of(st.sampled_from([0.0, -0.0]),
+                                           st.floats(0.0, 0.5),
+                                           st.floats(0.5, 10.0))),
+        load_per_disabled=data.draw(st.floats(0.0, 0.3)),
+        noise=data.draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0))))
+    # same legs and cap, other drag, gain and noise: the same cached sides
+    other = dataclasses.replace(
+        cfg, drag=data.draw(st.floats(0.0, 0.01)),
+        turn_gain=data.draw(st.floats(0.5, 3.0)),
+        noise=data.draw(st.floats(0.01, 3.0)))
+    scenario = st.sets(st.sampled_from(morphology.legs)).flatmap(
+        lambda disabled: st.builds(
+            Scenario, st.just(disabled),
+            st.fixed_dictionaries({l: st.sampled_from(GAIT_PERIODS)
+                                   for l in morphology.legs
+                                   if l not in disabled})))
+    runs = data.draw(st.lists(
+        st.tuples(st.sampled_from([cfg, other]), scenario,
+                  st.integers(0, 2 ** 31 - 1)), min_size=1, max_size=8))
+    runs += [(c, mirror(s), seed) for c, s, seed in runs]
+    want = [struct.pack("<d", reference_window(*run)) for run in runs]
+
+    def check(order):
+        for i in order:
+            got = simulate_window(*runs[i]).delta_phi
+            assert struct.pack("<d", got) == want[i]
+
+    check(data.draw(st.permutations(range(len(runs)))))
+    plant._capped_side.cache_clear()
+    check(data.draw(st.permutations(range(len(runs)))))
+    check(range(len(runs)))
+
+
+def test_capped_side_cache_is_bounded_and_read_only():
+    side = plant._capped_side(((1.0, 4),), 400, 8, 0.23)
+    assert side is plant._capped_side(((1.0, 4),), 400, 8, 0.23)
+    with pytest.raises(ValueError):
+        side[0] = 0.0
+    assert plant._capped_side.cache_info().maxsize == 128
