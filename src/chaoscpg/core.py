@@ -6,21 +6,22 @@ The oscillator is a discrete-time map on activity pairs (x1, x2) in (0,1):
 
 With the default weights the free map (c = 0) is chaotic, and unstable
 periodic orbits are embedded in its attractor.  The period controller
-free-runs the map and watches the recurrence error between the current
-state and the state one target period ago.  Once the trajectory shadows a
-periodic loop (p consecutive steps with error below CAPTURE_TOL or, after
-FALLBACK_AT scan steps, from the best shadowing seed seen), the loop is
-refined to the exact orbit by Newton iteration on the period-return map.
-One input to the first neuron pulls the state onto that orbit; from then
-on the oscillator replays the orbit exactly, the recurrence error is
-identically zero and the reported input carries only the machine-epsilon
-residue of the replayed first neuron.
+targets them in the manner of Ott, Grebogi and Yorke (1990): a catalogue
+of the map's prime period-p orbits is built once per (parameters, p) by
+Newton refinement of seeds from a fixed free run, and the oscillator
+free-runs until its state comes closer than LOCK_RADIUS (max-norm) to a
+catalogued orbit point.  One input to the first neuron then pulls the
+state onto that orbit; from then on the oscillator replays the orbit
+exactly, the recurrence error is identically zero and the reported input
+carries only the machine-epsilon residue of the replayed first neuron.
+A period with no catalogued orbit (3 for the default weights) never locks
+and runs at nearly free-map cost: its catalogue is built only once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,11 +43,12 @@ def _check_period(p: int) -> None:
 #: default initial activity used by runs that do not specify one
 DEFAULT_INIT = (0.1, 0.2)
 
-#: recurrence error below which a step extends a shadowing run
-CAPTURE_TOL = 0.15
+#: max-norm distance to a catalogued orbit point that triggers a lock
+LOCK_RADIUS = 0.05
 
-#: scan steps after which a lock is tried from the best shadowing seed seen
-FALLBACK_AT = 800
+#: Newton seeds of the orbit catalogue: every 7th state of a free run from
+#: DEFAULT_INIT, 25 of them
+_SEED_STRIDE, _SEED_COUNT = 7, 25
 
 #: Newton refinement of an orbit: residual to reach, iterations allowed
 _NEWTON_TOL = 1e-13
@@ -137,7 +139,11 @@ def _free_step(params: CpgParams, x1: float, x2: float) -> tuple[float, float]:
 
 def _cycle_jacobian(params: CpgParams, x1: float, x2: float,
                     p: int) -> tuple[float, float, float, float, float, float]:
-    """p-fold map value and Jacobian (2x2, row-major) at (x1, x2)."""
+    """p-fold map value and Jacobian (2x2, row-major) at (x1, x2).
+
+    All six values are NaN once the Jacobian product overflows, which no
+    Newton step survives; long analysis-only periods stop there.
+    """
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     for _ in range(p):
         y1, y2 = _free_step(params, x1, x2)
@@ -147,6 +153,8 @@ def _cycle_jacobian(params: CpgParams, x1: float, x2: float,
         j21, j22 = d2 * params.w21, d2 * params.w22
         m11, m12, m21, m22 = (j11 * m11 + j12 * m21, j11 * m12 + j12 * m22,
                               j21 * m11 + j22 * m21, j21 * m12 + j22 * m22)
+        if not math.isfinite(m11 + m12 + m21 + m22):
+            return (math.nan,) * 6
         x1, x2 = y1, y2
     return x1, x2, m11, m12, m21, m22
 
@@ -191,33 +199,49 @@ def find_orbit(params: CpgParams, p: int,
     return orbit
 
 
-def _consistent_loop(params: CpgParams,
-                     orbit: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Rebuild the x2 component as the exact float image of the x1 chain.
+@functools.lru_cache(maxsize=64)
+def _catalogue(params: CpgParams, p: int) -> tuple:
+    """The distinct prime period-p loops that the fixed Newton seeds reach.
 
-    With the default w22 = 0 the second neuron depends only on x1, so this
-    makes every x2 transition around the loop exact in floating point.
+    Each entry is (points, inputs): the loop's points, and at each point
+    the first-neuron input that replays the loop through the map.  Loops
+    are listed in the order of the first seed that reaches them.  Orbits
+    go through the module's find_orbit, so a wrapper on it sees every
+    search.
     """
-    p = len(orbit)
-    x1s = [pt[0] for pt in orbit]
-    x2s = [pt[1] for pt in orbit]
-    for k in range(p):
-        a2 = (params.theta2 + params.w21 * x1s[k]
-              + params.w22 * x2s[k] + 0.0)
-        x2s[(k + 1) % p] = sigmoid(a2)
-    return list(zip(x1s, x2s))
+    loops = []
+    x1, x2 = DEFAULT_INIT
+    for _ in range(_SEED_COUNT):
+        for _ in range(_SEED_STRIDE):
+            x1, x2 = _free_step(params, x1, x2)
+        orbit = find_orbit(params, p, (x1, x2))
+        if orbit is None or any(
+                max(abs(orbit[0][0] - l1), abs(orbit[0][1] - l2)) < 1e-6
+                for points, _ in loops for l1, l2 in points):
+            continue
+        # rebuild x2 as the float image of the x1 chain: with the default
+        # w22 = 0 every x2 transition around the loop is then exact
+        x1s, x2s = [pt[0] for pt in orbit], [pt[1] for pt in orbit]
+        for k in range(p):
+            x2s[(k + 1) % p] = _free_step(params, x1s[k], x2s[k])[1]
+        c1s = tuple(logit(x1s[(k + 1) % p])
+                    - _activations(params, x1s[k], x2s[k], 0.0, 0.0)[0]
+                    for k in range(p))
+        loops.append((tuple(zip(x1s, x2s)), c1s))
+    return tuple(loops)
 
 
 class CpgOscillator:
     """One oscillator with its period controller.
 
-    Free-runs the chaotic map while scanning for a shadowing event, i.e. a
-    stretch of p steps whose recurrence error stays below CAPTURE_TOL.  The
-    shadowed loop is polished to the exact periodic orbit and the stepper
-    latches onto it; afterwards the orbit replays exactly, the recurrence
-    error is identically zero and the reported control inputs reflect the
-    (machine-epsilon) residue of the replayed first neuron.  With enabled
-    False the oscillator never locks and runs the free map.
+    Free-runs the chaotic map until its state comes closer than
+    LOCK_RADIUS (max-norm) to a point of the period's orbit catalogue; the
+    nearest such point wins, ties going to the earlier catalogue entry.
+    One input to the first neuron pulls the state onto that loop and the
+    stepper latches onto it: afterwards the orbit replays exactly, the
+    recurrence error is identically zero and the reported control inputs
+    reflect the (machine-epsilon) residue of the replayed first neuron.
+    With enabled False the oscillator never locks and runs the free map.
     """
 
     def __init__(self, params: CpgParams, p: int,
@@ -229,49 +253,37 @@ class CpgOscillator:
         self.set_period(p)
 
     def set_period(self, p: int) -> None:
-        """Change the target period; the delay line and the lock restart."""
+        """Change the target period; the lock is cleared."""
         if p < 1:
             raise ValueError(f"period must be >= 1, got {p}")
         self.p = p
-        # states of the last p unlocked steps; history[0] is one period ago
-        self.history: deque = deque(maxlen=p)
         self.locked = False
         self.lock_step: Optional[int] = None
-        self._loop: Optional[list[tuple[float, float]]] = None
-        self._loop_c1: Optional[list[float]] = None
+        self._loop: Optional[tuple[tuple[float, float], ...]] = None
+        self._loop_c1: Optional[tuple[float, ...]] = None
         self._phase = 0
-        self._scan_steps = 0
-        self._run_len = 0
-        self._best_err = math.inf
-        self._best_seed: Optional[tuple[float, float]] = None
 
-    def _try_lock(self, seed: tuple[float, float]) -> bool:
-        orbit = find_orbit(self.params, self.p, seed)
-        if orbit is None:
-            return False
-        loop = _consistent_loop(self.params, orbit)
-        # implied first-neuron input that replays the loop through the map
-        c1s = []
-        for k in range(len(loop)):
-            x1, x2 = loop[k]
-            nx1 = loop[(k + 1) % len(loop)][0]
-            a1 = self.params.theta1 + self.params.w11 * x1 + self.params.w12 * x2
-            c1s.append(logit(nx1) - a1)
-        self._loop = loop
-        self._loop_c1 = c1s
-        return True
+    def _nearest_target(self) -> Optional[tuple[tuple, int]]:
+        """Catalogued loop and phase nearest the state within LOCK_RADIUS."""
+        x1, x2 = self.state.x1, self.state.x2
+        best, target = LOCK_RADIUS, None
+        for loop in _catalogue(self.params, self.p):
+            for k, (l1, l2) in enumerate(loop[0]):
+                d = max(abs(l1 - x1), abs(l2 - x2))
+                if d < best:
+                    best, target = d, (loop, k)
+        return target
 
-    def _enter_lock(self) -> CpgState:
-        # pull the first neuron onto the loop at the nearest phase; the
+    def _enter_lock(self, loop: tuple, k: int) -> CpgState:
+        # pull the first neuron from phase k onto the loop's next point; the
         # second neuron follows the free map, so it joins the loop chain
         # one step later by itself (exactly so with the default w22 = 0)
+        self._loop, self._loop_c1 = loop
         x1, x2 = self.state.x1, self.state.x2
-        dists = [max(abs(l1 - x1), abs(l2 - x2)) for l1, l2 in self._loop]
-        k = dists.index(min(dists))
-        nxt = self._loop[(k + 1) % len(self._loop)]
+        nxt = self._loop[(k + 1) % self.p]
         a1, a2 = _activations(self.params, x1, x2, 0.0, 0.0)
         self.last_c = (logit(nxt[0]) - a1, 0.0)
-        self._phase = (k + 1) % len(self._loop)
+        self._phase = (k + 1) % self.p
         self.locked = True
         self.lock_step = self.state.t + 1
         return CpgState(nxt[0], sigmoid(a2), self.state.t + 1)
@@ -284,34 +296,12 @@ class CpgOscillator:
             self.last_c = (self._loop_c1[(self._phase - 1) % self.p], 0.0)
             self.state = CpgState(nxt[0], nxt[1], self.state.t + 1)
             return self.state
-
-        new_state = None
-        if self.enabled and len(self.history) >= self.p:
-            old1, old2 = self.history[0]
-            err = max(abs(old1 - self.state.x1), abs(old2 - self.state.x2))
-            self._run_len = self._run_len + 1 if err < CAPTURE_TOL else 0
-            if err < self._best_err:
-                self._best_err = err
-                self._best_seed = (self.state.x1, self.state.x2)
-            trigger = (self._run_len >= self.p
-                       or (self._scan_steps >= FALLBACK_AT
-                           and self._best_seed is not None))
-            if trigger:
-                seed = ((self.state.x1, self.state.x2)
-                        if self._run_len >= self.p else self._best_seed)
-                if self._try_lock(seed):
-                    new_state = self._enter_lock()
-                else:
-                    self._run_len = 0
-                    if self._scan_steps >= FALLBACK_AT:
-                        self._best_err = math.inf  # rescan for a fresh seed
-
-        self.history.append((self.state.x1, self.state.x2))
-        if new_state is None:
+        target = self._nearest_target() if self.enabled else None
+        if target is not None:
+            self.state = self._enter_lock(*target)
+        else:
             self.last_c = (0.0, 0.0)
-            new_state = step(self.state, self.params, 0.0, 0.0)
-        self.state = new_state
-        self._scan_steps += 1
+            self.state = step(self.state, self.params, 0.0, 0.0)
         return self.state
 
     def _skip_locked(self, steps: int) -> None:
@@ -356,7 +346,7 @@ def run_controlled(params: CpgParams, p: int, steps: int,
     """Run the controlled oscillator and return the full trajectory.
 
     Gait use expects p in GAIT_PERIODS; any p >= 1 is allowed for analysis
-    (periods without a prime orbit, such as 3, simply never lock).
+    (periods without a catalogued orbit, such as 3, never lock).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

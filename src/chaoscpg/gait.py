@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -59,15 +59,13 @@ class DelayConfig:
 
     tau: int = 16
     tau_l: int = 48
-    front_to_hind: bool = True
 
     def __post_init__(self):
         if self.tau < 0 or self.tau_l < 0:
             raise ValueError("delays must be non-negative")
 
-    def shift(self, leg: LegId, n_rows: int) -> int:
-        k = leg.row if self.front_to_hind else (n_rows - 1 - leg.row)
-        s = k * self.tau
+    def shift(self, leg: LegId) -> int:
+        s = leg.row * self.tau
         if leg.side == "L":
             s += self.tau_l
         return s
@@ -115,10 +113,6 @@ class GaitTrace:
     def leg(self, leg: LegId) -> np.ndarray:
         return self.stance[self.legs.index(leg)]
 
-    def duty_factors(self) -> Dict[LegId, float]:
-        return {leg: float(self.stance[i].mean())
-                for i, leg in enumerate(self.legs)}
-
 
 def apply_delays(rhythms: Mapping[LegId, np.ndarray],
                  cfg: DelayConfig = DelayConfig(),
@@ -131,7 +125,6 @@ def apply_delays(rhythms: Mapping[LegId, np.ndarray],
     A length outside [0, MAX_TRACE_STEPS] is refused before any allocation.
     """
     legs = tuple(rhythms.keys())
-    n_rows = max(leg.row for leg in legs) + 1
     if steps is None:
         steps = 1
         for cyc in rhythms.values():
@@ -143,7 +136,7 @@ def apply_delays(rhythms: Mapping[LegId, np.ndarray],
     idx = np.arange(steps)
     for i, leg in enumerate(legs):
         cyc = np.asarray(rhythms[leg], dtype=bool)
-        shift = cfg.shift(leg, n_rows)
+        shift = cfg.shift(leg)
         out[i] = cyc[(idx - shift) % len(cyc)]
     return GaitTrace(legs=legs, stance=out)
 

@@ -139,8 +139,8 @@ class CpgNetwork:
         client = self.clients[leg]
         new_alpha = 1 if on else 0
         if client.alpha == 1 and new_alpha == 0:
-            # stale recurrence history from the synchronized regime would
-            # poison the controller, so it restarts cleanly
+            # a lock taken before the synchronized regime no longer matches
+            # the client's state, so the controller restarts unlocked
             client.osc.set_period(self.periods[leg])
         client.alpha = new_alpha
 
@@ -172,10 +172,11 @@ class CpgNetwork:
 
         Once the master and every desynced client have locked, each of them
         walks its loop, so the network can only repeat with period L, the
-        lcm of their periods.  When every leg state and loop phase recurs
-        bitwise after L more steps, the remaining rows are copies of the
-        last L and the oscillators jump to their final states by
-        arithmetic.  Until then, and while the states do not recur (synced
+        lcm of their periods.  From the row after the last lock on (the
+        lock row itself is off the loop), when every leg state and loop
+        phase recurs bitwise after L more steps, the remaining rows are
+        copies of the last L and the oscillators jump to their final states
+        by arithmetic.  Until then, and while the states do not recur (synced
         clients may not settle when w22 != 0), the network steps.
         """
         if steps < 0:
@@ -198,8 +199,10 @@ class CpgNetwork:
                 s = osc.state
                 xs1[k] = s.x1
                 xs2[k] = s.x2
-            # locks are never lost within a run
-            while pending and pending[-1].locked:
+            # locks are never lost within a run; a lock row has its x2 off
+            # the loop, so a mover counts as settled one row later
+            while pending and pending[-1].locked and \
+                    pending[-1].state.t > pending[-1].lock_step:
                 pending.pop()
             if pending or (anchor is not None and k < anchor + period):
                 continue

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaoscpg.core import (CpgParams, CpgState, detect_period,
+from chaoscpg import core
+from chaoscpg.core import (GAIT_PERIODS, CpgParams, CpgState, detect_period,
                            lyapunov_estimate, run_controlled, step)
 
 P = CpgParams()
@@ -148,6 +151,65 @@ def test_period_three_never_locks():
     traj = run_controlled(P, 3, 2000)
     assert traj.lock_step is None
     assert detect_period(traj.x1) is None
+
+
+unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=120)
+@given(p=st.sampled_from(GAIT_PERIODS), x1=unit, x2=unit)
+def test_gait_periods_lock_from_any_start(p, x1, x2):
+    traj = run_controlled(P, p, 2000, init=(x1, x2))
+    k = traj.lock_step
+    assert k is not None
+    # x1 joins the loop at the lock step, x2 one step later
+    x1s, x2s = traj.x1[k:], traj.x2[k + 1:]
+    assert np.array_equal(x1s[p:], x1s[:-p])
+    assert np.array_equal(x2s[p:], x2s[:-p])
+    assert detect_period(traj.x1) == p
+
+
+@pytest.mark.parametrize("p", GAIT_PERIODS)
+def test_catalogue_loops_replay_exactly(p):
+    catalogue = core._catalogue(P, p)
+    assert catalogue
+    for points, c1s in catalogue:
+        assert len(points) == len(c1s) == p
+        for k, (x1, x2) in enumerate(points):
+            nx1, nx2 = points[(k + 1) % p]
+            # the free map carries each point to the next: the second
+            # neuron exactly, the first up to the tiny replay input
+            free = step(CpgState(x1, x2), P)
+            assert free.x2 == nx2 and abs(free.x1 - nx1) < 1e-12
+            assert step(CpgState(x1, x2), P, c1s[k]).x1 == pytest.approx(
+                nx1, rel=1e-14, abs=0.0)
+            assert abs(c1s[k]) < 1e-9
+        # prime period: the loop visits p distinct points
+        assert all(max(abs(a - b) for a, b in zip(points[0], points[q])) > 1e-6
+                   for q in range(1, p))
+    # distinct loops share no point
+    starts = [points[0] for points, _ in catalogue]
+    for i, (points, _) in enumerate(catalogue):
+        for s in starts[i + 1:]:
+            assert all(max(abs(s[0] - a), abs(s[1] - b)) > 1e-6 for a, b in points)
+    core._catalogue.cache_clear()
+    assert core._catalogue(P, p) == catalogue
+
+
+def test_period_without_orbits_never_searches_again(monkeypatch):
+    run_controlled(P, 3, 10)  # builds the period's (empty) catalogue
+    searches = []
+    find_orbit = core.find_orbit
+    monkeypatch.setattr(core, "find_orbit",
+                        lambda *args: searches.append(args) or find_orbit(*args))
+    traj = run_controlled(P, 3, 2000)
+    assert traj.lock_step is None and searches == []
+
+
+def test_orbit_search_stops_once_the_jacobian_overflows():
+    # e^(0.3 p) overflows long before p = 10**6 steps are taken
+    assert all(math.isnan(v) for v in core._cycle_jacobian(P, 0.3, 0.6, 10**6))
+    assert core.find_orbit(P, 10**6, (0.3, 0.6)) is None
 
 
 def test_lyapunov_positive_and_consistent():

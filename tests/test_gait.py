@@ -95,15 +95,6 @@ def test_trace_length_is_bounded():
             gait_trace(Morphology.HEXAPOD, 4, steps=steps)
 
 
-def test_delay_direction_flag():
-    cyc = rhythm_cycle(4)
-    fwd = apply_delays({l: cyc for l in Morphology.HEXAPOD.legs},
-                       DelayConfig(front_to_hind=True))
-    rev = apply_delays({l: cyc for l in Morphology.HEXAPOD.legs},
-                       DelayConfig(front_to_hind=False))
-    assert np.array_equal(fwd.leg(LegId.R1), rev.leg(LegId.R3))
-
-
 def test_delay_config_validation():
     with pytest.raises(ValueError):
         DelayConfig(tau=-1)

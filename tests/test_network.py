@@ -92,12 +92,14 @@ def test_desync_resets_controller():
     osc = net.clients[LegId.L1].osc
     for _ in range(100):
         net.step()
-        assert len(osc.history) <= 4  # delay line holds one period, no more
-    assert osc.locked and len(osc.history) == 4
+    assert osc.locked and osc.lock_step > 300
     net.set_sync(LegId.L1, True)
     net.set_sync(LegId.L1, False)
+    # the lock from before the resync is cleared, not carried over
     assert not osc.locked and osc.lock_step is None
-    assert len(osc.history) == 0
+    assert osc._loop is None and osc._loop_c1 is None and osc._phase == 0
+    net.step()  # a new lock can only start from the current state
+    assert osc.lock_step in (None, osc.state.t)
 
 
 def test_independent_clients_match_isolated_oscillators():
@@ -344,3 +346,27 @@ def test_run_copies_only_a_recurring_state(monkeypatch):
         assert simulated < 3000
         assert _trace_rows([trace]) == _reference_run(ref, 3000)
         _assert_same_network(net, ref)
+
+
+def test_copying_starts_one_hyper_period_after_the_row_past_the_last_lock(
+        monkeypatch):
+    # the row where the last mover locks has its x2 off the loop, so the
+    # first snapshot is the row after it, which recurs L steps later
+    net = CpgNetwork(seed=11, master_period=4)
+    net.run(200)
+    assert net.master.locked
+    periods = {LegId.R2: 5, LegId.R3: 8, LegId.L1: 4, LegId.L2: 9, LegId.L3: 6}
+    net.set_periods(periods)
+    ref = copy.deepcopy(net)
+    start = net.master.state.t
+    stepped = []
+    step = CpgNetwork.step
+    monkeypatch.setattr(CpgNetwork, "step",
+                        lambda self: stepped.append(1) or step(self))
+    trace = net.run(8000)
+    movers = [net.master] + [net.clients[l].osc for l in periods if l is not LegId.L1]
+    last_lock = max(osc.lock_step for osc in movers) - start
+    assert last_lock > 0
+    assert len(stepped) == last_lock + 1 + _hyper_period(net) == 364
+    assert _trace_rows([trace]) == _reference_run(ref, 8000)
+    _assert_same_network(net, ref)
